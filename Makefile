@@ -61,6 +61,7 @@ bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkTrackerObserve|BenchmarkSuccessorEntropyK1' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClientSweep|BenchmarkServerSweep' -benchmem -benchtime 2x ./internal/simulate/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenLoopbackSerial|BenchmarkOpenPipelined' -benchmem ./internal/fsnet/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOpenRouted' -benchmem ./internal/cluster/ ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -gobench ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -proto 2 -gobench ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -serial -gobench ; \
@@ -69,9 +70,10 @@ bench-json:
 	| $(GO) run ./cmd/benchjson > BENCH_BASELINE.json
 	@echo wrote BENCH_BASELINE.json
 
-# Allocation-regression gate: re-run the fsnet hot-path benches and fail
-# if allocs/op regressed >20% against the committed BENCH_BASELINE.json
-# (ns/op is reported but not gated; see scripts/bench_gate.sh).
+# Allocation-regression gate: re-run the fsnet hot-path and cluster
+# routed-open benches and fail if allocs/op regressed >20% against the
+# committed BENCH_BASELINE.json (ns/op is reported but not gated; see
+# scripts/bench_gate.sh).
 bench-gate:
 	sh ./scripts/bench_gate.sh
 

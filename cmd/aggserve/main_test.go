@@ -541,9 +541,16 @@ func TestRunPeersFileReload(t *testing.T) {
 	addrs := freeAddrs(t, 4)
 	statsAddr := addrs[3]
 	pf := filepath.Join(t.TempDir(), "peers.conf")
+	// Replace the file atomically (write a sibling, rename over): a node
+	// booting or reloading concurrently must read the old list or the new
+	// one, never a truncated file.
 	writePeers := func(lines ...string) {
 		t.Helper()
-		if err := os.WriteFile(pf, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		tmp := pf + ".tmp"
+		if err := os.WriteFile(tmp, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, pf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,7 +10,9 @@
 // follow-on member opens are local.
 //
 // A Node plugs into an fsnet.Server as its OpenRouter: the server
-// consults RouteOpen before its own cache and store, and everything the
+// learns every open itself, then consults the node before its own cache
+// and store — RouteOpenNow in the connection's read loop, RouteOpen on a
+// handler goroutine when an owner hop is needed — and everything the
 // node declines — paths it owns, and paths whose owner is down — falls
 // through to the local aggregating serving path. With replicated backing
 // stores that fallback is always correct, so a dead peer degrades
@@ -134,9 +136,10 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Node is one member of the peer tier. It implements fsnet.OpenRouter;
-// wire it into the co-located server via ServerConfig.Router. All
-// methods are safe for concurrent use.
+// Node is one member of the peer tier. It implements fsnet.OpenRouter
+// with the TracedRouter and InlineRouter extensions; wire it into the
+// co-located server via ServerConfig.Router. All methods are safe for
+// concurrent use.
 type Node struct {
 	cfg  Config
 	self string
@@ -188,7 +191,10 @@ type forward struct {
 	err   error
 }
 
-var _ fsnet.TracedRouter = (*Node)(nil)
+var (
+	_ fsnet.TracedRouter = (*Node)(nil)
+	_ fsnet.InlineRouter = (*Node)(nil)
+)
 
 // NewNode validates cfg and installs the epoch-1 view: the ring over
 // cfg.Peers plus one lazy-dialing fsnet client per remote peer. No
@@ -352,17 +358,12 @@ func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) 
 	}
 
 	// Mirror first: a mirrored group answers even while its owner is
-	// down, and relays the history so it rides the next forward fetch.
+	// down.
 	n.mirMu.Lock()
 	files, ok := n.mirror.get(path)
 	n.mirMu.Unlock()
 	if ok {
-		n.mirrorHits.Add(1)
-		p.client.NoteAccess(accessed...)
-		p.client.NoteAccess(path)
-		if tctx.Sampled {
-			tr.Record(tr.Child(tctx), "mirror", path, tstart, n.cfg.Now().Sub(tstart))
-		}
+		n.mirrorHit(p, files, accessed, tctx, tstart)
 		return files, true, nil
 	}
 
@@ -429,6 +430,48 @@ func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) 
 		// open still succeeds, just without the owner's group metadata.
 		n.degradedOpens.Add(1)
 		return nil, false, nil
+	}
+}
+
+// RouteOpenNow implements fsnet.InlineRouter: the non-blocking part of
+// RouteOpenTraced, run in the serving connection's read loop. Owned
+// paths are declined (RouteLocal) after a byte-key ring lookup, and
+// mirrored groups are answered (RouteAnswered), with the same counters
+// and spans as RouteOpenTraced. Everything else — owner forwards and the
+// owner-down degraded path — is RouteBlocking: the server hands the open
+// to RouteOpenTraced on a handler goroutine, which settles it from
+// scratch and counts its outcome there.
+func (n *Node) RouteOpenNow(path []byte, accessed []string, tctx otrace.Ctx) ([]fsnet.GroupFile, fsnet.Route) {
+	v := n.view.Load()
+	owner := v.ring.OwnerBytes(path)
+	if owner == n.self || owner == "" {
+		n.localOpens.Add(1)
+		return nil, fsnet.RouteLocal
+	}
+	var tstart time.Time
+	if tctx.Sampled {
+		tstart = n.cfg.Now()
+	}
+	n.mirMu.Lock()
+	files, ok := n.mirror.getBytes(path)
+	n.mirMu.Unlock()
+	if !ok {
+		return nil, fsnet.RouteBlocking
+	}
+	n.mirrorHit(v.peers[owner], files, accessed, tctx, tstart)
+	return files, fsnet.RouteAnswered
+}
+
+// mirrorHit accounts one open answered from the mirror (files leads with
+// the demanded path) and relays its history toward the owner, so it
+// rides the next forward fetch.
+func (n *Node) mirrorHit(p *peer, files []fsnet.GroupFile, accessed []string, tctx otrace.Ctx, tstart time.Time) {
+	n.mirrorHits.Add(1)
+	p.client.NoteAccess(accessed...)
+	p.client.NoteAccess(files[0].Path)
+	if tctx.Sampled {
+		tr := n.cfg.Trace
+		tr.Record(tr.Child(tctx), "mirror", files[0].Path, tstart, n.cfg.Now().Sub(tstart))
 	}
 }
 

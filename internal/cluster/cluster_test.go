@@ -30,7 +30,7 @@ const testFiles = 80
 
 func testContent(path string) string { return "contents of " + path }
 
-func startCluster(t *testing.T, numNodes int, mut func(i int, cfg *Config)) *testCluster {
+func startCluster(t testing.TB, numNodes int, mut func(i int, cfg *Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{gates: make(map[string]*faultnet.Gate), clk: newTick()}
 
@@ -113,7 +113,7 @@ func startCluster(t *testing.T, numNodes int, mut func(i int, cfg *Config)) *tes
 }
 
 // client dials a plain workload client against node i's server.
-func (tc *testCluster) client(t *testing.T, i int, cfg fsnet.ClientConfig) *fsnet.Client {
+func (tc *testCluster) client(t testing.TB, i int, cfg fsnet.ClientConfig) *fsnet.Client {
 	t.Helper()
 	c, err := fsnet.Dial(tc.addrs[i], cfg)
 	if err != nil {
@@ -125,7 +125,7 @@ func (tc *testCluster) client(t *testing.T, i int, cfg fsnet.ClientConfig) *fsne
 
 // pathOwnedBy returns a test path owned by node owner, skipping paths in
 // skip. Ownership is hash-determined, so it scans the seeded namespace.
-func (tc *testCluster) pathOwnedBy(t *testing.T, owner int, skip map[string]bool) string {
+func (tc *testCluster) pathOwnedBy(t testing.TB, owner int, skip map[string]bool) string {
 	t.Helper()
 	for f := 0; f < testFiles; f++ {
 		path := fmt.Sprintf("/data/f%03d", f)

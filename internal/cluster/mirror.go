@@ -73,11 +73,17 @@ func newMirror(capacity int, ttl time.Duration, now func() time.Time) *mirror {
 // as read-only (the serving path only serializes them).
 //
 // Callers hold the node mutex; the mirror has no lock of its own.
-func (m *mirror) get(path string) ([]fsnet.GroupFile, bool) {
+func (m *mirror) get(path string) ([]fsnet.GroupFile, bool) { return mirrorGet(m, path) }
+
+// getBytes is get for a path still held in a request frame; a hit on the
+// group's anchor allocates nothing.
+func (m *mirror) getBytes(path []byte) ([]fsnet.GroupFile, bool) { return mirrorGet(m, path) }
+
+func mirrorGet[K string | []byte](m *mirror, path K) ([]fsnet.GroupFile, bool) {
 	if m == nil {
 		return nil, false
 	}
-	el, ok := m.entries[path]
+	el, ok := m.entries[string(path)]
 	if !ok {
 		m.misses++
 		return nil, false
@@ -91,19 +97,19 @@ func (m *mirror) get(path string) ([]fsnet.GroupFile, bool) {
 	}
 	m.order.MoveToFront(el)
 	m.hits++
-	if ent.files[0].Path == path {
+	if ent.files[0].Path == string(path) {
 		return ent.files, true
 	}
 	// A member open: lead with the demanded file, keep the rest in
 	// arrival order.
 	out := make([]fsnet.GroupFile, 0, len(ent.files))
 	for _, f := range ent.files {
-		if f.Path == path {
+		if f.Path == string(path) {
 			out = append(out, f)
 		}
 	}
 	for _, f := range ent.files {
-		if f.Path != path {
+		if f.Path != string(path) {
 			out = append(out, f)
 		}
 	}

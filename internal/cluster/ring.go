@@ -92,7 +92,14 @@ func (r *Ring) sortPoints() {
 }
 
 // Owner returns the member that owns key, or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
+func (r *Ring) Owner(key string) string { return owner(r, key) }
+
+// OwnerBytes is Owner for a key still held in a byte slice (a path in a
+// request frame); it allocates nothing and always agrees with
+// Owner(string(key)).
+func (r *Ring) OwnerBytes(key []byte) string { return owner(r, key) }
+
+func owner[K string | []byte](r *Ring, key K) string {
 	if len(r.points) == 0 {
 		return ""
 	}
@@ -133,7 +140,7 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func keyHash(key string) uint64 {
+func keyHash[K string | []byte](key K) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])

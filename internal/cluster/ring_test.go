@@ -165,7 +165,8 @@ func TestRingEdgeCases(t *testing.T) {
 }
 
 // FuzzRingOwner: for arbitrary keys, ownership is deterministic across
-// build orders and always lands on a live member.
+// build orders, always lands on a live member, and the byte-key lookup
+// agrees with the string one.
 func FuzzRingOwner(f *testing.F) {
 	f.Add("")
 	f.Add("/data/f000001")
@@ -189,6 +190,9 @@ func FuzzRingOwner(f *testing.F) {
 		}
 		if other := rev.Owner(key); other != got {
 			t.Fatalf("Owner(%q) build-order dependent: %q vs %q", key, got, other)
+		}
+		if b := fwd.OwnerBytes([]byte(key)); b != got {
+			t.Fatalf("OwnerBytes(%q) = %q, Owner = %q", key, b, got)
 		}
 	})
 }

@@ -38,6 +38,12 @@ type muxConn struct {
 	hintSent  bool
 	hintEpoch uint64
 
+	// frames is the writer's per-batch scratch: each call's frame fields,
+	// copied out under mu. Once mu is released a poison can complete the
+	// calls and their callers recycle them, so the writer never touches a
+	// call after unlocking.
+	frames []muxFrame
+
 	mu     sync.Mutex
 	nextID uint64
 	calls  map[uint64]*muxCall // in flight: queued or written, awaiting reply
@@ -78,6 +84,14 @@ type muxCall struct {
 	// done receives exactly one result (buffered so the reader never
 	// blocks on a caller).
 	done chan muxResult
+}
+
+// muxFrame is one request frame as the writer puts it on the wire.
+type muxFrame struct {
+	id      uint64
+	typ     uint8
+	payload []byte
+	tctx    otrace.Ctx
 }
 
 // muxCallPool recycles call objects (and their completion channels):
@@ -186,15 +200,16 @@ func (m *muxConn) writer() {
 				m.queue = nil
 			}
 			enc := getEncodeBuf()
+			frames := m.frames[:0]
 			for _, call := range batch {
-				if call.typ != msgOpen {
-					continue
+				if call.typ == msgOpen {
+					var accessed []string
+					accessed, call.claimed = m.c.claimPending(call.path)
+					start := len(enc)
+					enc = appendOpenRequest(enc, call.path, accessed)
+					call.payload = enc[start:]
 				}
-				var accessed []string
-				accessed, call.claimed = m.c.claimPending(call.path)
-				start := len(enc)
-				enc = appendOpenRequest(enc, call.path, accessed)
-				call.payload = enc[start:]
+				frames = append(frames, muxFrame{id: call.id, typ: call.typ, payload: call.payload, tctx: call.tctx})
 			}
 			m.mu.Unlock()
 			var err error
@@ -212,27 +227,29 @@ func (m *muxConn) writer() {
 					m.hintSent, m.hintEpoch = true, epoch
 				}
 			}
-			for _, call := range batch {
+			for _, f := range frames {
 				if err != nil {
 					break
 				}
-				if call.tctx.Sampled {
+				if f.tctx.Sampled {
 					// Announce the sampled call's trace context under
 					// request ID 0 immediately before its request frame;
 					// the server attaches it to the matching request ID.
 					start := len(enc)
-					enc = appendTraceCtx(enc, call.id, call.tctx)
+					enc = appendTraceCtx(enc, f.id, f.tctx)
 					if err = putFrameID(m.w, msgTraceCtx, 0, enc[start:]); err != nil {
 						break
 					}
 				}
-				if err = putFrameID(m.w, call.typ, call.id, call.payload); err != nil {
+				if err = putFrameID(m.w, f.typ, f.id, f.payload); err != nil {
 					break
 				}
 			}
 			if err == nil {
 				err = m.w.Flush()
 			}
+			clear(frames) // drop payload references before the arena is pooled
+			m.frames = frames
 			putFrameBuf(enc)
 			m.recycleBatch(batch)
 			if err != nil {

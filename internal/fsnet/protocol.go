@@ -134,21 +134,9 @@ const (
 // ErrNotFound is returned by Client.Open for missing files.
 var ErrNotFound = errors.New("fsnet: file not found")
 
-// openRequest is the payload of msgOpen.
-type openRequest struct {
-	// Path is the demanded file.
-	Path string
-	// Accessed is the piggybacked access history since the last
-	// request, oldest first. It excludes the demanded Path itself,
-	// which the server appends to the learned stream on arrival.
-	Accessed []string
-}
-
-// fileData is one file in a group reply.
-type fileData struct {
-	Path string
-	Data []byte
-}
+// fileData is one file in a group reply: the same type the router hands
+// over, so routed groups become replies without a copy.
+type fileData = GroupFile
 
 // GroupFile is one file of a group, as exposed to code embedding the
 // client or server — the cluster peer tier (internal/cluster) routes
@@ -470,12 +458,11 @@ func (d *decoder) done() error {
 	return nil
 }
 
-func encodeOpenRequest(req openRequest) []byte {
-	return appendOpenRequest(nil, req.Path, req.Accessed)
-}
-
-// appendOpenRequest appends an open-request payload to dst; the pipelined
-// writer encodes into a reused scratch buffer through this.
+// appendOpenRequest appends an open-request (msgOpen) payload to dst: the
+// demanded path, then the piggybacked access history since the last
+// request, oldest first (excluding the demanded path, which the server
+// appends to the learned stream on arrival). The pipelined writer
+// encodes into a reused scratch buffer through this.
 func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
 	dst = appendString(dst, path)
 	dst = appendUvarint(dst, uint64(len(accessed)))
@@ -485,35 +472,37 @@ func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
 	return dst
 }
 
-func decodeOpenRequest(payload []byte) (openRequest, error) {
+// decodeOpenView parses an open-request payload without copying: the
+// demanded path and every piggybacked path come back as views aliasing
+// payload (the piggybacked ones appended to views), valid only while the
+// payload buffer is. The server decodes every open exactly once, here.
+func decodeOpenView(payload []byte, views [][]byte) ([]byte, [][]byte, error) {
 	d := decoder{buf: payload}
-	var req openRequest
-	var err error
-	if req.Path, err = d.str(maxPath); err != nil {
-		return req, err
+	path, err := d.view(maxPath)
+	if err != nil {
+		return nil, views, err
 	}
-	if req.Path == "" {
-		return req, errors.New("fsnet: empty path")
+	if len(path) == 0 {
+		return nil, views, errors.New("fsnet: empty path")
 	}
 	n, err := d.uvarint()
 	if err != nil {
-		return req, err
+		return nil, views, err
 	}
 	if n > maxStatPaths {
-		return req, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
+		return nil, views, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
 	}
-	req.Accessed = make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
-		p, err := d.str(maxPath)
+		v, err := d.view(maxPath)
 		if err != nil {
-			return req, err
+			return nil, views, err
 		}
-		req.Accessed = append(req.Accessed, p)
+		views = append(views, v)
 	}
 	if err := d.done(); err != nil {
-		return req, err
+		return nil, views, err
 	}
-	return req, nil
+	return path, views, nil
 }
 
 // handoffRequest is the payload of msgHandoff: one drained group's

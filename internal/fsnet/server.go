@@ -53,11 +53,13 @@ type ServerConfig struct {
 	MaxProtocol int
 	// Router, when set, is consulted before any open is served from the
 	// local cache and store. It lets an embedding tier (internal/cluster)
-	// place a path's group on another server: when RouteOpen reports the
+	// place a path's group on another server: when the router reports the
 	// request handled, its files become the reply verbatim and the local
-	// metadata, cache, and store are left untouched. When it reports the
-	// request unhandled the server serves it locally as usual — which is
-	// also the cluster tier's degraded path when the owning peer is down.
+	// cache and store are left untouched. When it reports the request
+	// unhandled the server serves it locally as usual — which is also the
+	// cluster tier's degraded path when the owning peer is down. Either
+	// way the open was learned into the local successor metadata before
+	// the router ran.
 	Router OpenRouter
 	// Logger receives connection-level errors; nil discards them.
 	Logger *log.Logger
@@ -96,9 +98,39 @@ type OpenRouter interface {
 	// relayed so the remote owner's metadata stays as complete as the
 	// local server's would (§3). A handled error is returned to the
 	// client: ErrNotFound maps to CodeNotFound, anything else to
-	// CodeInternal.
+	// CodeInternal. The server only reads files, so a router may hand
+	// out shared slices.
 	RouteOpen(path string, accessed []string) (files []GroupFile, handled bool, err error)
 }
+
+// InlineRouter is an optional extension of OpenRouter: a router that can
+// settle most opens without blocking, so the server resolves them in the
+// connection's read loop instead of on a handler goroutine. The server
+// type-asserts once at construction; routers without the method have
+// every open routed through RouteOpen on a handler goroutine.
+type InlineRouter interface {
+	OpenRouter
+	// RouteOpenNow must not block on network I/O. path is the demanded
+	// path as it sits in the request frame and accessed is the interned
+	// piggybacked history; both are valid only for the duration of the
+	// call. RouteAnswered hands back the reply group (demanded file
+	// first); RouteBlocking has the server call RouteOpen (or
+	// RouteOpenTraced) on a handler goroutine, which settles the open
+	// from scratch.
+	RouteOpenNow(path []byte, accessed []string, tctx otrace.Ctx) ([]GroupFile, Route)
+}
+
+// Route is an InlineRouter verdict.
+type Route uint8
+
+const (
+	// RouteLocal: serve the open from the local cache and store.
+	RouteLocal Route = iota
+	// RouteAnswered: the returned group answers the open.
+	RouteAnswered
+	// RouteBlocking: settling the open needs I/O.
+	RouteBlocking
+)
 
 // TracedRouter is an optional extension of OpenRouter: a router that
 // also accepts the request's trace context, so a forwarded open's
@@ -172,9 +204,11 @@ type Server struct {
 	store  *Store
 	logger *log.Logger
 
-	// troute is cfg.Router's TracedRouter form, asserted once at
-	// construction; nil when the router does not accept trace contexts.
+	// troute and iroute are cfg.Router's TracedRouter and InlineRouter
+	// forms, asserted once at construction; nil when the router lacks
+	// the extension.
 	troute TracedRouter
+	iroute InlineRouter
 
 	// Hot counters; atomic (obs.Counter wraps one atomic each) so
 	// concurrent handlers never contend. With cfg.Obs these are the very
@@ -236,6 +270,9 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 	}
 	if tr, ok := cfg.Router.(TracedRouter); ok {
 		s.troute = tr
+	}
+	if ir, ok := cfg.Router.(InlineRouter); ok {
+		s.iroute = ir
 	}
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("fsnet_server_open_conns", "connections currently served", func() float64 {
@@ -491,16 +528,14 @@ func (s *Server) serveV1(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 		}
 		switch typ {
 		case msgOpen:
-			req, err := decodeOpenRequest(payload)
-			putFrameBuf(payload)
+			// Lock-step (v1) peers predate trace frames, so the open is
+			// untraced unless the server's own sampler admits it.
+			group, errResp, _, err := s.openFrame(payload, src, s.cfg.Trace.Root(), false)
 			if err != nil {
 				s.armWrite(conn)
 				_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 				return
 			}
-			// Lock-step (v1) peers predate trace frames, so the open is
-			// untraced unless the server's own sampler admits it.
-			group, errResp := s.open(req, src, s.cfg.Trace.Root())
 			s.armWrite(conn)
 			if err := s.replyV1(w, group, errResp); err != nil {
 				s.disconnect(conn, err)
@@ -555,19 +590,29 @@ func (s *Server) serveV1(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 	}
 }
 
-// serveV2 is the pipelined loop: plain opens are served inline by the
-// read loop (the in-memory fast path never blocks on anything but the
-// reply writer's own backpressure, and a goroutine spawn plus two
-// scheduler hops per request is measurable at loopback rates), while
-// routed opens, writes, and handoffs get a bounded handler goroutine
-// each. A dedicated reply writer batches completed replies — out of
-// order — onto the wire with one flush per batch. A malformed request
-// payload fails only its own request; the framed stream stays intact,
-// so the connection keeps serving.
+// serveV2 is the pipelined loop. Every open is decoded and learned here,
+// once and in arrival order, whatever serves it; opens that settle
+// without blocking — unrouted, owned, or answered by an InlineRouter —
+// are then served inline (a goroutine spawn plus two scheduler hops per
+// request is measurable at loopback rates), while opens that need the
+// router's blocking path, writes, and handoffs get a bounded handler
+// goroutine each (DESIGN.md §10). A dedicated reply writer batches
+// completed replies — out of order — onto the wire with one flush per
+// batch. A malformed request payload fails only its own request; the
+// framed stream stays intact, so the connection keeps serving.
 func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src uint64, ver int) {
 	rw := newReplyWriter(s, conn, w, ver)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, maxServerPipeline)
+	spawn := func(handle func()) {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			handle()
+		}()
+	}
 	func() {
 		// A panic in the read loop itself (as opposed to in a handler,
 		// which recovers per request) must not skip the drain below: the
@@ -625,8 +670,8 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 				putFrameBuf(payload)
 				continue
 			}
-			var tctx otrace.Ctx
 			if typ == msgOpen {
+				var tctx otrace.Ctx
 				if pendCtx.Sampled && pendID == id {
 					// Continue the sender's trace as a child span.
 					tctx = s.cfg.Trace.Child(pendCtx)
@@ -637,72 +682,53 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 					tctx = s.cfg.Trace.Root()
 				}
 				pendCtx = otrace.Ctx{}
-			}
-			if typ == msgOpen && s.cfg.Router == nil {
-				s.serveRequestV2(rw, src, typ, id, payload, tctx)
+				if call := s.serveOpenV2(rw, src, id, payload, tctx); call != nil {
+					spawn(func() {
+						defer s.recoverRequest(rw, id)
+						files, errResp := s.finishOpen(call)
+						rw.sendOpen(id, files, errResp)
+					})
+				}
 				continue
 			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(typ uint8, id uint64, payload []byte, tctx otrace.Ctx) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				s.serveRequestV2(rw, src, typ, id, payload, tctx)
-			}(typ, id, payload, tctx)
+			spawn(func() { s.serveRequestV2(rw, typ, id, payload) })
 		}
 	}()
 	wg.Wait()
 	rw.drainAndStop()
 }
 
-// serveRequestV2 handles one pipelined request. A panic is recovered
-// here, converted into a CodeInternal reply for this request only, and
-// the connection keeps serving.
-func (s *Server) serveRequestV2(rw *replyWriter, src uint64, typ uint8, id uint64, payload []byte, tctx otrace.Ctx) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.m.panics.Add(1)
-			s.logf("fsnet: recovered handler panic: %v", p)
-			rw.sendError(id, errorResponse{Code: CodeInternal, Message: "internal server error"})
-		}
-	}()
+// recoverRequest, deferred by every pipelined request, converts a
+// handler panic into a CodeInternal reply for that request only; the
+// connection keeps serving.
+func (s *Server) recoverRequest(rw *replyWriter, id uint64) {
+	if p := recover(); p != nil {
+		s.m.panics.Add(1)
+		s.logf("fsnet: recovered handler panic: %v", p)
+		rw.sendError(id, errorResponse{Code: CodeInternal, Message: "internal server error"})
+	}
+}
+
+// serveOpenV2 runs one pipelined open in the read loop: decode, learn,
+// and — unless the router needs its blocking path — resolve and reply.
+// It returns the learned open when a handler goroutine must finish it.
+func (s *Server) serveOpenV2(rw *replyWriter, src, id uint64, payload []byte, tctx otrace.Ctx) *openCall {
+	defer s.recoverRequest(rw, id)
+	files, errResp, call, err := s.openFrame(payload, src, tctx, true)
+	switch {
+	case err != nil:
+		rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
+	case call == nil:
+		rw.sendOpen(id, files, errResp)
+	}
+	return call
+}
+
+// serveRequestV2 handles one pipelined non-open request on a handler
+// goroutine.
+func (s *Server) serveRequestV2(rw *replyWriter, typ uint8, id uint64, payload []byte) {
+	defer s.recoverRequest(rw, id)
 	switch typ {
-	case msgOpen:
-		var files []fileData
-		var errResp errorResponse
-		if s.cfg.Router == nil {
-			// Fast path: the demanded and piggybacked paths are interned
-			// straight out of the pooled frame buffer — no path strings,
-			// no Accessed slice — and the group is built in pooled
-			// scratch.
-			var err error
-			files, errResp, err = s.openView(payload, src, tctx)
-			putFrameBuf(payload)
-			if err != nil {
-				rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-		} else {
-			// The router path materializes the request (its interface
-			// carries strings across the cluster tier).
-			req, err := decodeOpenRequest(payload)
-			putFrameBuf(payload)
-			if err != nil {
-				rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-			files, errResp = s.open(req, src, tctx)
-		}
-		if errResp.Code != 0 {
-			rw.sendError(id, errResp)
-			return
-		}
-		if rw.ver >= protocolV3 {
-			s.m.streamed.Add(1)
-			rw.sendGroup(id, files)
-			return
-		}
-		rw.send(id, msgGroup, appendGroupResponse(getEncodeBuf(), files), true)
 	case msgWrite:
 		req, err := decodeWriteRequest(payload)
 		putFrameBuf(payload)
@@ -900,161 +926,209 @@ func (s *Server) ExportGroups(owned func(path string) bool) []HandoffGroup {
 }
 
 // openScratch carries the per-request working set of the open hot path:
-// interned access IDs, the built group, and its paths. Pooled so a
-// steady-state open allocates none of it.
+// piggybacked path views, their interned IDs and paths, the built group,
+// and its paths. Pooled so a steady-state open allocates none of it.
 type openScratch struct {
-	views [][]byte // piggybacked path views into the frame buffer
-	ids   []trace.FileID
-	group []trace.FileID
-	paths []string
+	views    [][]byte // piggybacked path views into the frame buffer
+	ids      []trace.FileID
+	accessed []string // interned piggybacked paths, for the router
+	group    []trace.FileID
+	paths    []string
 }
 
 var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch) }}
 
-// open runs one request through the metadata and the server cache and
-// assembles the group reply. The store is only touched outside aggMu:
-// existence is checked lock-free up front, and the group's contents are
-// staged after the critical section, coalesced with any concurrent
-// staging of the same demanded path.
-func (s *Server) open(req openRequest, src uint64, tctx otrace.Ctx) ([]fileData, errorResponse) {
+// openCall is one open after decoding and learning: what resolving it
+// needs, in the read loop or on a handler goroutine.
+type openCall struct {
+	// path is the demanded path: the interned string when the local
+	// store holds it (known), otherwise a copy of the frame bytes.
+	path  string
+	id    trace.FileID // valid when known
+	known bool
+	// accessed is the interned piggybacked history, oldest first; set
+	// only for opens handed to the router's blocking path.
+	accessed []string
+	tctx     otrace.Ctx
+	timed    bool
+	start    time.Time
+}
+
+// openFrame runs one open request frame and consumes payload. It decodes
+// the frame once, as byte views, learns the open (learnOpen), and
+// resolves it: from the local cache and store, from an InlineRouter's
+// answer, or through the router's blocking path. With async set, an open
+// that needs the blocking path is returned as call, for a handler
+// goroutine to finish with finishOpen, instead of being resolved here. A
+// non-nil err reports a malformed payload: the caller answers
+// CodeBadRequest, and no request is counted.
+func (s *Server) openFrame(payload []byte, src uint64, tctx otrace.Ctx, async bool) (files []fileData, errResp errorResponse, call *openCall, err error) {
+	sc := openScratchPool.Get().(*openScratch)
+	defer openScratchPool.Put(sc)
+	defer putFrameBuf(payload)
+	pathView, views, err := decodeOpenView(payload, sc.views[:0])
+	sc.views = views
+	if err != nil {
+		return nil, errorResponse{}, nil, err
+	}
 	s.m.requests.Add(1)
+	c := openCall{tctx: tctx}
 	// The clock is only read when a registry (or slow-request threshold,
 	// or a sampled trace) demands it, so uninstrumented servers keep a
 	// syscall-free path.
-	var start time.Time
-	timed := s.m.timed() || tctx.Sampled
-	if timed {
-		start = time.Now()
+	if c.timed = s.m.timed() || tctx.Sampled; c.timed {
+		c.start = time.Now()
 	}
+	s.learnOpen(&c, pathView, src, sc)
+
+	route := RouteLocal
+	var routed []GroupFile
+	switch {
+	case s.cfg.Router == nil:
+	case s.iroute != nil:
+		routed, route = s.iroute.RouteOpenNow(pathView, sc.accessed, tctx)
+	default:
+		route = RouteBlocking
+	}
+	switch route {
+	case RouteLocal:
+		files, errResp = s.serveLocal(&c, sc)
+	case RouteAnswered:
+		files, errResp = s.routedReply(&c, routed, nil)
+	default:
+		bc := c
+		bc.accessed = append([]string(nil), sc.accessed...)
+		if async {
+			return nil, errorResponse{}, &bc, nil
+		}
+		files, errResp = s.finishOpen(&bc)
+	}
+	return files, errResp, nil, nil
+}
+
+// learnOpen interns an open's piggybacked history and — when the local
+// store holds it — its demanded path, and records them in the
+// connection's successor stream: history oldest first, then the demanded
+// file, the client's true access order. Every decoded open learns here,
+// exactly once and before any router runs, so a clustered node's
+// metadata sees its clients' whole streams, not just the opens it owns
+// (DESIGN.md §11). Nothing downstream learns the open again: a second
+// LearnFrom would record a self-transition X→X.
+func (s *Server) learnOpen(c *openCall, pathView []byte, src uint64, sc *openScratch) {
+	sc.ids = sc.ids[:0]
+	for _, v := range sc.views {
+		if len(v) > 0 {
+			sc.ids = append(sc.ids, s.ids.InternBytes(v))
+		}
+	}
+	// Existence check before interning the demanded path, so
+	// nonexistent paths never grow the ID space.
+	if s.store.containsBytes(pathView) {
+		c.id, c.known = s.ids.InternBytes(pathView), true
+		c.path = s.ids.Path(c.id) // the interned string: no per-request copy
+	} else {
+		c.path = string(pathView)
+	}
+	sc.accessed = sc.accessed[:0]
 	if s.cfg.Router != nil {
-		if files, errResp, handled := s.routeOpen(req, tctx); handled {
-			if timed {
-				s.observeServed(tctx, "forward", req.Path, start)
-			}
-			return files, errResp
+		for _, aid := range sc.ids {
+			sc.accessed = append(sc.accessed, s.ids.Path(aid))
 		}
 	}
-	if !s.store.Contains(req.Path) {
-		return nil, errorResponse{Code: CodeNotFound, Message: req.Path}
-	}
-
-	// Path→ID translation takes the interner's lock-free fast path for
-	// already-known paths and never needs aggMu.
-	sc := openScratchPool.Get().(*openScratch)
-	sc.ids = sc.ids[:0]
-	for _, p := range req.Accessed {
-		if p == "" || len(p) > maxPath {
-			continue
-		}
-		sc.ids = append(sc.ids, s.ids.Intern(p))
-	}
-	id := s.ids.Intern(req.Path)
-	files, errResp := s.serveOpen(id, req.Path, src, sc, timed, start, tctx)
-	openScratchPool.Put(sc)
-	return files, errResp
-}
-
-// openView is the pooled fast path of the pipelined open: the demanded
-// and piggybacked paths are interned as byte views straight out of the
-// frame buffer — no request struct, no path strings, no Accessed slice —
-// and the group is built in pooled scratch. A non-nil error reports a
-// malformed payload (the caller answers CodeBadRequest without counting
-// a request, exactly like the decode-then-open path).
-func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx) ([]fileData, errorResponse, error) {
-	d := decoder{buf: payload}
-	pathView, err := d.view(maxPath)
-	if err != nil {
-		return nil, errorResponse{}, err
-	}
-	if len(pathView) == 0 {
-		return nil, errorResponse{}, errors.New("fsnet: empty path")
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, errorResponse{}, err
-	}
-	if n > maxStatPaths {
-		return nil, errorResponse{}, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
-	}
-	sc := openScratchPool.Get().(*openScratch)
-	sc.views = sc.views[:0]
-	for i := uint64(0); i < n; i++ {
-		pv, err := d.view(maxPath)
-		if err != nil {
-			openScratchPool.Put(sc)
-			return nil, errorResponse{}, err
-		}
-		if len(pv) == 0 {
-			continue
-		}
-		sc.views = append(sc.views, pv)
-	}
-	if err := d.done(); err != nil {
-		openScratchPool.Put(sc)
-		return nil, errorResponse{}, err
-	}
-
-	s.m.requests.Add(1)
-	var start time.Time
-	timed := s.m.timed() || tctx.Sampled
-	if timed {
-		start = time.Now()
-	}
-	// Existence check before any interning, so nonexistent demanded
-	// paths never grow the ID space (the lock-step path behaves the
-	// same way).
-	if !s.store.containsBytes(pathView) {
-		openScratchPool.Put(sc)
-		return nil, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
-	}
-	sc.ids = sc.ids[:0]
-	for _, pv := range sc.views {
-		sc.ids = append(sc.ids, s.ids.InternBytes(pv))
-	}
-	id := s.ids.InternBytes(pathView)
-	path := s.ids.Path(id) // the interned string: no per-request copy
-	files, errResp := s.serveOpen(id, path, src, sc, timed, start, tctx)
-	openScratchPool.Put(sc)
-	return files, errResp, nil
-}
-
-// serveOpen is the shared tail of the open paths: learn the piggybacked
-// transitions, stage the group through the aggregating cache, and read
-// the members' contents. sc.ids holds the interned access history.
-func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) ([]fileData, errorResponse) {
 	s.aggMu.Lock()
-	// Piggybacked history first (oldest..newest), then the demanded
-	// open, preserving the client's true access order.
 	for _, aid := range sc.ids {
 		s.agg.LearnFrom(src, aid)
 	}
-	s.agg.LearnFrom(src, id)
-	// Stage the group into the server memory cache; hit-or-miss selects
-	// the latency phase below.
-	hit := s.agg.Serve(id)
-	sc.group = s.agg.AppendBuildGroup(sc.group[:0], id)
+	if c.known {
+		s.agg.LearnFrom(src, c.id)
+	}
+	s.aggMu.Unlock()
+}
+
+// finishOpen settles an open through the router's blocking path; a
+// declined open (owned, or its owner is down) is served locally.
+func (s *Server) finishOpen(c *openCall) ([]fileData, errorResponse) {
+	var (
+		files   []GroupFile
+		handled bool
+		err     error
+	)
+	if s.troute != nil {
+		files, handled, err = s.troute.RouteOpenTraced(c.path, c.accessed, c.tctx)
+	} else {
+		files, handled, err = s.cfg.Router.RouteOpen(c.path, c.accessed)
+	}
+	if handled {
+		return s.routedReply(c, files, err)
+	}
+	sc := openScratchPool.Get().(*openScratch)
+	defer openScratchPool.Put(sc)
+	return s.serveLocal(c, sc)
+}
+
+// serveLocal stages a learned open's group through the aggregating cache
+// and reads the members' contents. The store is only touched outside
+// aggMu: existence was checked when the open was learned, and the
+// group's contents are staged after the critical section, coalesced with
+// any concurrent staging of the same demanded path.
+func (s *Server) serveLocal(c *openCall, sc *openScratch) ([]fileData, errorResponse) {
+	if !c.known {
+		return nil, errorResponse{Code: CodeNotFound, Message: c.path}
+	}
+	s.aggMu.Lock()
+	// Hit-or-miss selects the latency phase below.
+	hit := s.agg.Serve(c.id)
+	sc.group = s.agg.AppendBuildGroup(sc.group[:0], c.id)
 	s.aggMu.Unlock()
 
 	sc.paths = sc.paths[:0]
 	for _, gid := range sc.group {
 		sc.paths = append(sc.paths, s.ids.Path(gid))
 	}
-
-	files, ok := s.stageGroup(path, sc.paths)
+	files, ok := s.stageGroup(c.path, sc.paths)
 	if !ok {
 		// The file vanished between the existence check and the staged
-		// read; rare, and the learning above recorded a genuine access.
-		return nil, errorResponse{Code: CodeNotFound, Message: path}
+		// read; rare, and the learning recorded a genuine access.
+		return nil, errorResponse{Code: CodeNotFound, Message: c.path}
 	}
 	s.m.sent.Add(uint64(len(files)))
-	if timed {
+	if c.timed {
 		phase := "stage"
 		if hit {
 			phase = "hit"
 		}
-		s.observeServed(tctx, phase, path, start)
+		s.observeServed(c.tctx, phase, c.path, c.start)
 	}
 	return files, errorResponse{}
+}
+
+// routedReply turns a router's handled answer into the open's reply: a
+// typed error (ErrNotFound maps to CodeNotFound, anything else to
+// CodeInternal), or the group, which must lead with the demanded path.
+func (s *Server) routedReply(c *openCall, files []GroupFile, err error) ([]fileData, errorResponse) {
+	var out []fileData
+	var errResp errorResponse
+	switch {
+	case errors.Is(err, ErrNotFound):
+		errResp = errorResponse{Code: CodeNotFound, Message: c.path}
+	case err != nil:
+		errResp = errorResponse{Code: CodeInternal, Message: err.Error()}
+	case len(files) == 0 || files[0].Path != c.path:
+		errResp = errorResponse{Code: CodeInternal, Message: "router returned malformed group"}
+	default:
+		// The group may be shared (a mirror entry): the reply writer
+		// only reads it.
+		out = files
+		if len(out) > maxGroup {
+			out = out[:maxGroup]
+		}
+		s.m.remote.Add(1)
+		s.m.sent.Add(uint64(len(out)))
+	}
+	if c.timed {
+		s.observeServed(c.tctx, "forward", c.path, c.start)
+	}
+	return out, errResp
 }
 
 // observeServed finishes one timed open: the phase span for a sampled
@@ -1075,45 +1149,6 @@ func (s *Server) observeServed(tctx otrace.Ctx, phase, path string, start time.T
 		return
 	}
 	s.m.observeOpen(phase, path, d, "")
-}
-
-// routeOpen hands one open to the configured Router. handled=false means
-// the caller serves the request locally (the router declined: the path is
-// locally owned, or its owner is down and the open degrades to a local
-// fetch).
-func (s *Server) routeOpen(req openRequest, tctx otrace.Ctx) ([]fileData, errorResponse, bool) {
-	var (
-		files   []GroupFile
-		handled bool
-		err     error
-	)
-	if s.troute != nil {
-		files, handled, err = s.troute.RouteOpenTraced(req.Path, req.Accessed, tctx)
-	} else {
-		files, handled, err = s.cfg.Router.RouteOpen(req.Path, req.Accessed)
-	}
-	if !handled {
-		return nil, errorResponse{}, false
-	}
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, errorResponse{Code: CodeNotFound, Message: req.Path}, true
-		}
-		return nil, errorResponse{Code: CodeInternal, Message: err.Error()}, true
-	}
-	if len(files) == 0 || files[0].Path != req.Path {
-		return nil, errorResponse{Code: CodeInternal, Message: "router returned malformed group"}, true
-	}
-	if len(files) > maxGroup {
-		files = files[:maxGroup]
-	}
-	out := make([]fileData, len(files))
-	for i, f := range files {
-		out[i] = fileData{Path: f.Path, Data: f.Data}
-	}
-	s.m.remote.Add(1)
-	s.m.sent.Add(uint64(len(out)))
-	return out, errorResponse{}, true
 }
 
 // stageGroup reads the demanded file plus the group members from the
@@ -1222,9 +1257,18 @@ func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
 	rw.enqueue(v2Reply{id: id, typ: typ, payload: payload, pooled: pooled})
 }
 
-// sendGroup enqueues one streamed (version-3) group reply.
-func (rw *replyWriter) sendGroup(id uint64, files []fileData) {
-	rw.enqueue(v2Reply{id: id, files: files})
+// sendOpen enqueues an open's reply: its error, or its group — streamed
+// member by member at version 3, one msgGroup payload before.
+func (rw *replyWriter) sendOpen(id uint64, files []fileData, errResp errorResponse) {
+	switch {
+	case errResp.Code != 0:
+		rw.sendError(id, errResp)
+	case rw.ver >= protocolV3:
+		rw.s.m.streamed.Add(1)
+		rw.enqueue(v2Reply{id: id, files: files})
+	default:
+		rw.send(id, msgGroup, appendGroupResponse(getEncodeBuf(), files), true)
+	}
 }
 
 func (rw *replyWriter) enqueue(rep v2Reply) {
