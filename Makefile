@@ -60,10 +60,9 @@ gossip:
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkTrackerObserve|BenchmarkSuccessorEntropyK1' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClientSweep|BenchmarkServerSweep' -benchmem -benchtime 2x ./internal/simulate/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenLoopbackSerial|BenchmarkOpenPipelined' -benchmem ./internal/fsnet/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenPipelined' -benchmem ./internal/fsnet/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOpenRouted' -benchmem ./internal/cluster/ ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -gobench ; \
-	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -proto 2 -gobench ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -serial -gobench ; \
 	  $(GO) run ./cmd/aggbench -cluster 1 -conns 9 -workers 4 -opens 4000 -gobench ; \
 	  $(GO) run ./cmd/aggbench -cluster 3 -conns 9 -workers 4 -opens 4000 -gobench ; } \
@@ -136,9 +135,13 @@ examples:
 	$(GO) run ./examples/predictability
 	$(GO) run ./examples/grouping-apps
 
-# Short fuzzing pass over the wire and trace codecs.
+# Short fuzzing pass over the wire and trace codecs: every fsnet decoder
+# that reads bytes off the wire, then the trace and ring targets.
+FSNET_FUZZ = FuzzDecodeOpenRequest FuzzDecodeGroupResponse FuzzDecodeHello FuzzReadFrameID FuzzDecodeTraceCtx FuzzDecodeViewMsg FuzzDecodeViewPush FuzzDecodeHandoffRequest FuzzDecodeWriteRequest FuzzDecodeErrorResponse
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeOpenRequest -fuzztime=30s ./internal/fsnet/
+	for t in $(FSNET_FUZZ); do \
+	  $(GO) test -run=^$$ -fuzz="^$$t$$" -fuzztime=30s ./internal/fsnet/ || exit 1; \
+	done
 	$(GO) test -run=^$$ -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRingOwner -fuzztime=30s ./internal/cluster/
 

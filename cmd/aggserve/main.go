@@ -83,6 +83,11 @@ import (
 	"aggcache/internal/obs/otrace"
 )
 
+// listen opens run's TCP listeners. Tests substitute listeners bound in
+// advance, so a reserved port cannot be taken between reservation and
+// boot.
+var listen = net.Listen
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "aggserve:", err)
@@ -103,7 +108,6 @@ func run(args []string) error {
 		idleTimeout  = fl.Duration("idle-timeout", 5*time.Minute, "drop connections idle for this long (0 disables)")
 		writeTimeout = fl.Duration("write-timeout", 30*time.Second, "per-reply write deadline so stalled readers cannot wedge handlers (0 disables)")
 		maxConns     = fl.Int("max-conns", 0, "cap on concurrently served connections; excess get a busy rejection (0 = unlimited)")
-		maxProto     = fl.Int("max-proto", 0, "cap the negotiated protocol version: 1 lock-step, 2 pipelined, 3 streamed groups (0 = latest)")
 		cpuProf      = fl.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = fl.String("memprofile", "", "write an allocation profile to this file at shutdown")
 		pprofSrv     = fl.String("pprof", "", "serve net/http/pprof on this address while running")
@@ -177,9 +181,6 @@ func run(args []string) error {
 
 	if *maxConns < 0 {
 		return fmt.Errorf("-max-conns must be >= 0, got %d", *maxConns)
-	}
-	if *maxProto < 0 || *maxProto > 3 {
-		return fmt.Errorf("-max-proto must be 0..3, got %d", *maxProto)
 	}
 
 	// The registry is unconditional: a standing server always pays the few
@@ -295,7 +296,6 @@ func run(args []string) error {
 		IdleTimeout:       *idleTimeout,
 		WriteTimeout:      *writeTimeout,
 		MaxConns:          *maxConns,
-		MaxProtocol:       *maxProto,
 		Logger:            log.New(os.Stderr, "", log.LstdFlags),
 		Obs:               reg,
 		SlowRequest:       *slowReq,
@@ -325,7 +325,7 @@ func run(args []string) error {
 	}
 
 	if *statsAddr != "" {
-		sl, err := net.Listen("tcp", *statsAddr)
+		sl, err := listen("tcp", *statsAddr)
 		if err != nil {
 			return fmt.Errorf("stats listener: %w", err)
 		}
@@ -393,7 +393,7 @@ func run(args []string) error {
 		log.Printf("aggserve: stats on http://%s/stats (Prometheus at /metrics, events at /metrics.json)", sl.Addr())
 	}
 
-	l, err := net.Listen("tcp", *addr)
+	l, err := listen("tcp", *addr)
 	if err != nil {
 		return err
 	}

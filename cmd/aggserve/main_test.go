@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -195,10 +196,14 @@ func TestMetadataPersistAcrossRestart(t *testing.T) {
 	startOnce()
 }
 
-// freeAddrs reserves n distinct loopback addresses by listening and
-// immediately closing. Racy in principle, fine for tests in practice.
+// freeAddrs reserves n distinct loopback addresses and keeps them bound:
+// run's listen hands each held listener to the node that boots on its
+// address, so no other socket can take the port in between. Listeners no
+// node claimed are closed at cleanup.
 func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
+	var mu sync.Mutex
+	held := make(map[string]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range addrs {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -206,10 +211,27 @@ func freeAddrs(t *testing.T, n int) []string {
 			t.Fatal(err)
 		}
 		addrs[i] = l.Addr().String()
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
+		held[addrs[i]] = l
 	}
+	prev := listen
+	listen = func(network, addr string) (net.Listener, error) {
+		mu.Lock()
+		l, ok := held[addr]
+		delete(held, addr)
+		mu.Unlock()
+		if ok {
+			return l, nil
+		}
+		return prev(network, addr)
+	}
+	t.Cleanup(func() {
+		listen = prev
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range held {
+			_ = l.Close()
+		}
+	})
 	return addrs
 }
 

@@ -25,6 +25,59 @@ func rawDial(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// helloDial opens an unmanaged connection and completes the hello, for
+// crafting ID-framed requests by hand.
+func helloDial(t *testing.T, addr string) (net.Conn, *bufio.Reader, *bufio.Writer) {
+	t.Helper()
+	conn := rawDial(t, addr)
+	if err := writeHello(conn, msgHello, protocolV3); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	typ, payload, err := readFrame(r)
+	if err != nil {
+		t.Fatalf("hello reply: %v", err)
+	}
+	ver, derr := decodeHello(payload)
+	putFrameBuf(payload)
+	if typ != msgHelloOK || derr != nil || ver != protocolV3 {
+		t.Fatalf("hello reply: type %d version %d (%v), want msgHelloOK %d", typ, ver, derr, protocolV3)
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return conn, r, bufio.NewWriter(conn)
+}
+
+// sendFrameID writes one ID-framed request and flushes it.
+func sendFrameID(t *testing.T, w *bufio.Writer, typ uint8, id uint64, payload []byte) {
+	t.Helper()
+	if err := putFrameID(w, typ, id, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readErrorReply reads one ID-framed reply and requires it to be the
+// msgError for request id.
+func readErrorReply(t *testing.T, conn net.Conn, r *bufio.Reader, id uint64) errorResponse {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	typ, rid, payload, err := readFrameID(r)
+	if err != nil {
+		t.Fatalf("no error reply: %v", err)
+	}
+	if typ != msgError || rid != id {
+		t.Fatalf("reply type %d for request %d, want msgError for %d", typ, rid, id)
+	}
+	e, err := decodeErrorResponse(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // waitServerErrors polls until the server error counter reaches want (or
 // times out), absorbing handler-goroutine scheduling delay.
 func waitServerErrors(t *testing.T, srv *Server, want uint64) uint64 {
@@ -105,67 +158,31 @@ func TestAdversarialTruncatedFrameMidPayload(t *testing.T) {
 	assertHealthy(t, addr)
 }
 
+// TestAdversarialUnknownMessageType: an ID-framed request of a type the
+// server does not know fails only that request — a typed msgError for
+// its ID — and the framed stream keeps serving.
 func TestAdversarialUnknownMessageType(t *testing.T) {
 	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	conn := rawDial(t, addr)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], 1)
-	hdr[4] = 0x7f // no such message type
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	// The server must reply with a typed msgError before departing.
-	r := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	typ, payload, err := readFrame(r)
-	if err != nil {
-		t.Fatalf("no reply to unknown message type: %v", err)
-	}
-	if typ != msgError {
-		t.Fatalf("reply type = %d, want msgError", typ)
-	}
-	e, err := decodeErrorResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeBadRequest {
+	conn, r, w := helloDial(t, addr)
+	sendFrameID(t, w, 0x7f, 1, nil) // no such message type
+	if e := readErrorReply(t, conn, r, 1); e.Code != CodeBadRequest {
 		t.Errorf("error code = %d, want CodeBadRequest", e.Code)
 	}
 	if got := waitServerErrors(t, srv, 1); got == 0 {
 		t.Error("unknown message type did not advance ServerStats.Errors")
 	}
-	// And then the connection closes.
-	if _, _, err := readFrame(r); err == nil {
-		t.Error("server kept the connection after an unknown message type")
-	}
+	// The stream is intact: the same connection still answers.
+	sendFrameID(t, w, 0x7f, 2, nil)
+	readErrorReply(t, conn, r, 2)
 	assertHealthy(t, addr)
 }
 
 func TestAdversarialMalformedOpenPayload(t *testing.T) {
 	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	conn := rawDial(t, addr)
+	conn, r, w := helloDial(t, addr)
 	// A syntactically framed msgOpen whose payload is garbage.
-	payload := []byte{0xff, 0xff, 0xff, 0xff, 0xff}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = msgOpen
-	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	typ, body, err := readFrame(r)
-	if err != nil {
-		t.Fatalf("no reply to malformed open: %v", err)
-	}
-	if typ != msgError {
-		t.Fatalf("reply type = %d, want msgError", typ)
-	}
-	e, err := decodeErrorResponse(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeBadRequest {
+	sendFrameID(t, w, msgOpen, 1, []byte{0xff, 0xff, 0xff, 0xff, 0xff})
+	if e := readErrorReply(t, conn, r, 1); e.Code != CodeBadRequest {
 		t.Errorf("error code = %d, want CodeBadRequest", e.Code)
 	}
 	if got := waitServerErrors(t, srv, 1); got == 0 {
@@ -278,11 +295,8 @@ func TestServerWriteTimeoutUnwedgesStalledReader(t *testing.T) {
 	}
 	srv, addr := startServer(t, store, ServerConfig{WriteTimeout: 150 * time.Millisecond})
 
-	conn := rawDial(t, addr)
-	w := bufio.NewWriter(conn)
-	if err := writeFrame(w, msgOpen, encodeOpenRequest(openRequest{Path: "/big"})); err != nil {
-		t.Fatal(err)
-	}
+	_, _, w := helloDial(t, addr)
+	sendFrameID(t, w, msgOpen, 1, encodeOpenRequest(openRequest{Path: "/big"}))
 	// Never read the multi-megabyte reply. The handler must give up on
 	// its own (not because we closed).
 	deadline := time.Now().Add(5 * time.Second)
@@ -312,60 +326,80 @@ func assertHealthyPath(t *testing.T, addr, path string, want []byte) {
 	}
 }
 
-// TestServerPanicRecovery: a handler panic must be converted into a
-// msgError (CodeInternal) reply, counted, and must not take the process
-// or the accept loop down.
+// TestServerPanicRecovery: a panic must never take the process or the
+// accept loop down. A handler panic becomes a msgError (CodeInternal)
+// for that request alone, counted in Panics; a panic in the connection's
+// read loop is counted and ends only that connection.
 func TestServerPanicRecovery(t *testing.T) {
-	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	// Drive handleConn directly over a pipe whose second Read panics,
-	// simulating a request whose handling blows up mid-connection.
-	srvConn, clientConn := net.Pipe()
-	defer clientConn.Close()
-	go srv.handleConn(&panicConn{Conn: srvConn, panicAt: 2}, 999)
+	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: panicRouter{path: "/data/f001"}})
 
-	w := bufio.NewWriter(clientConn)
-	if err := writeFrame(w, msgOpen, encodeOpenRequest(openRequest{Path: "/data/f000"})); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(clientConn)
-	_ = clientConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	// First reply is the normal group/error reply.
-	if _, _, err := readFrame(r); err != nil {
-		t.Fatalf("first reply: %v", err)
-	}
-	// The second request hits the injected panic; the handler must
-	// recover and reply CodeInternal.
-	if err := writeFrame(w, msgOpen, encodeOpenRequest(openRequest{Path: "/data/f001"})); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(r)
-	if err != nil {
-		t.Fatalf("no panic-recovery reply: %v", err)
-	}
-	if typ != msgError {
-		t.Fatalf("recovery reply type = %d, want msgError", typ)
-	}
-	e, err := decodeErrorResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeInternal {
+	// Handler panic: the router blows up on one path.
+	conn, r, w := helloDial(t, addr)
+	sendFrameID(t, w, msgOpen, 1, encodeOpenRequest(openRequest{Path: "/data/f001"}))
+	if e := readErrorReply(t, conn, r, 1); e.Code != CodeInternal {
 		t.Errorf("recovery code = %d, want CodeInternal", e.Code)
 	}
+	if got := srv.Stats().Panics; got != 1 {
+		t.Errorf("Panics = %d after a handler panic, want 1", got)
+	}
+
+	// Read-loop panic: drive handleConn over a pipe whose third Read
+	// (hello, first open, second open) panics.
+	srvConn, clientConn := net.Pipe()
+	defer clientConn.Close()
+	go func() {
+		srv.handleConn(&panicConn{Conn: srvConn, panicAt: 3}, 999)
+		_ = srvConn.Close() // as Serve's forget does
+	}()
+	_ = clientConn.SetDeadline(time.Now().Add(2 * time.Second))
+	if err := writeHello(clientConn, msgHello, protocolV3); err != nil {
+		t.Fatal(err)
+	}
+	pr := bufio.NewReader(clientConn)
+	if typ, _, err := readFrame(pr); err != nil || typ != msgHelloOK {
+		t.Fatalf("hello reply: type %d, %v", typ, err)
+	}
+	pw := bufio.NewWriter(clientConn)
+	sendFrameID(t, pw, msgOpen, 1, encodeOpenRequest(openRequest{Path: "/data/f000"}))
+	// The first open is answered in full: member chunks, then group end.
+	for {
+		typ, _, _, err := readFrameID(pr)
+		if err != nil {
+			t.Fatalf("first reply: %v", err)
+		}
+		if typ == msgGroupEnd {
+			break
+		}
+	}
+	sendFrameID(t, pw, msgOpen, 2, encodeOpenRequest(openRequest{Path: "/data/f001"}))
+	if _, _, _, err := readFrameID(pr); err == nil {
+		t.Error("connection kept serving after its read loop panicked")
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().Panics == 0 && !time.Now().After(deadline) {
+	for srv.Stats().Panics < 2 && !time.Now().After(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if srv.Stats().Panics == 0 {
-		t.Error("panic not counted")
+	if got := srv.Stats().Panics; got != 2 {
+		t.Errorf("Panics = %d, want 2 (handler + read loop)", got)
 	}
 	// The server proper is unharmed.
 	assertHealthy(t, addr)
 }
 
-// panicConn panics on the panicAt-th Read call, simulating a request
-// whose handling blows up mid-connection. With net.Pipe and a buffered
-// writer flushing whole frames, each request arrives as exactly one Read.
+// panicRouter panics whenever path is opened and declines everything
+// else, so the server serves it locally.
+type panicRouter struct{ path string }
+
+func (p panicRouter) RouteOpen(path string, _ []string) ([]GroupFile, bool, error) {
+	if path == p.path {
+		panic("injected handler panic")
+	}
+	return nil, false, nil
+}
+
+// panicConn panics on the panicAt-th Read call, simulating a read loop
+// that blows up mid-connection. With net.Pipe and whole frames written at
+// once, each frame arrives as exactly one Read.
 type panicConn struct {
 	net.Conn
 	reads   int

@@ -19,17 +19,13 @@ import (
 // ErrConnBroken marks a connection poisoned by an I/O or protocol error.
 // A frame-level failure may leave the stream desynchronized, so a broken
 // connection is closed and never reused; the next request redials when a
-// Dialer is configured, otherwise it fails with this error. On a
-// pipelined (version-2) connection every in-flight call fails fast with
-// this error when the connection is poisoned.
+// Dialer is configured, otherwise it fails with this error. Every
+// in-flight call fails fast with this error when the connection is
+// poisoned, and a handshake the server refuses or answers with another
+// protocol version fails the same way.
 var ErrConnBroken = errors.New("fsnet: connection broken")
 
 var errClientClosed = errors.New("fsnet: client closed")
-
-// errLegacyServer reports that the peer answered the protocol handshake
-// with "unknown message type": it predates version 2, so the client
-// downgrades to lock-step version 1 and redials.
-var errLegacyServer = errors.New("fsnet: legacy server (no handshake)")
 
 // Backoff is an exponential backoff schedule with jitter, governing the
 // delay before each retry of a failed round trip.
@@ -115,39 +111,26 @@ type ClientConfig struct {
 	// Seed makes retry jitter deterministic; zero selects a fixed
 	// default so behaviour is reproducible unless varied explicitly.
 	Seed int64
-	// MaxProtocol caps the protocol version offered at handshake. Zero
-	// offers the latest. Setting 1 skips the handshake entirely and
-	// speaks the original lock-step protocol — useful against ancient
-	// servers and as the serialized baseline in benchmarks.
-	MaxProtocol int
 	// Obs, when set, registers client-side counters (reconnects, broken
 	// connections, retries, degraded hits), an in-flight gauge, and a
 	// round-trip latency histogram with the given registry, and records
-	// reconnect/downgrade/conn_broken/degraded_hit events to its event
-	// log. ClientStats stays authoritative either way.
+	// reconnect/conn_broken/degraded_hit events to its event log.
+	// ClientStats stays authoritative either way.
 	Obs *obs.Registry
 	// Views, when set, wires membership-view dissemination into the
-	// transport (internal/gossip): version-3 connections piggyback the
-	// local epoch as a msgViewHint ahead of each request batch, inbound
+	// transport (internal/gossip): the connection piggybacks the local
+	// epoch as a msgViewHint ahead of each request batch, inbound
 	// hints are forwarded to Views.NoteViewEpoch, and ViewPull/ViewPush
 	// become usable. Nil keeps the wire byte-identical to a pre-gossip
 	// client.
 	Views ViewSource
 	// Trace, when set, mints a trace context at every Open/OpenGroup
 	// entry (head-sampled per the tracer's rate) and records the client
-	// span into the tracer's ring. Sampled contexts ride version-3
-	// connections as msgTraceCtx piggybacks so downstream servers join
+	// span into the tracer's ring. Sampled contexts ride the connection
+	// as msgTraceCtx piggybacks so downstream servers join
 	// the same trace; unsampled requests pay one atomic add and send
 	// nothing. Nil disables tracing entirely.
 	Trace *otrace.Tracer
-}
-
-// maxProto normalizes MaxProtocol to a usable version number.
-func (cfg ClientConfig) maxProto() int {
-	if cfg.MaxProtocol <= 0 || cfg.MaxProtocol > protocolLatest {
-		return protocolLatest
-	}
-	return cfg.MaxProtocol
 }
 
 // ClientStats is a snapshot of client cache activity.
@@ -180,7 +163,8 @@ type ClientStats struct {
 	DegradedHits uint64
 }
 
-// clientConn bundles one live connection with its buffered framing. The
+// clientConn is a socket plus its buffers until the mux takes over: the
+// connection NewClient wrapped or a redial, awaiting its handshake. The
 // bundle is replaced wholesale on redial so a poisoned stream's buffers
 // can never leak stale bytes into a fresh connection.
 type clientConn struct {
@@ -193,26 +177,22 @@ type clientConn struct {
 // concurrent use by multiple goroutines. After the version handshake the
 // connection is multiplexed: concurrent opens are pipelined over one
 // connection and replies are matched by request ID, so N goroutines
-// proceed without serializing on the wire. Against a legacy (version-1)
-// server the client falls back to lock-step request/reply. Broken
-// connections are redialed with exponential backoff when a Dialer is
-// configured.
+// proceed without serializing on the wire. Broken connections are
+// redialed with exponential backoff when a Dialer is configured.
 //
 // Locking (see DESIGN.md §10): mu guards the cache state, stats, pending
 // history, and the transport slots, and is never held across network I/O
 // — Stats, Contains, Close, and cache hits always return promptly even
 // while requests are stalled on the wire. connMu serializes connection
-// establishment (dial + handshake). reqMu serializes round trips on the
-// legacy lock-step path only. rngMu guards the retry-jitter source.
-// Order: reqMu / connMu → mux.mu → mu; rngMu is a leaf.
+// establishment (dial + handshake). rngMu guards the retry-jitter source.
+// Order: connMu → mux.mu → mu; rngMu is a leaf.
 type Client struct {
 	cfg ClientConfig
 	m   clientMetrics
 
 	mu         sync.Mutex
-	conn       *clientConn // v1 or not-yet-negotiated connection; nil while disconnected
-	mux        *muxConn    // pipelined (v2/v3) transport; nil while disconnected
-	proto      int         // 0 until negotiated, then protocolV1..protocolV3
+	conn       *clientConn // connection awaiting its handshake; nil otherwise
+	mux        *muxConn    // the pipelined transport; nil while disconnected
 	ids        *trace.Interner
 	lru        *cache.LRU
 	data       [][]byte // file contents, indexed by interned FileID
@@ -244,7 +224,6 @@ type Client struct {
 	scrapOrphans []*muxCall
 
 	connMu sync.Mutex // serializes dial + handshake
-	reqMu  sync.Mutex // serializes lock-step (v1) round trips
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // retry jitter; guarded by rngMu
@@ -289,10 +268,7 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		rng: rand.New(rand.NewSource(seed)),
 	}
 	if conn != nil {
-		c.conn = &clientConn{conn: conn, r: bufio.NewReaderSize(conn, connBufSize), w: bufio.NewWriterSize(conn, connBufSize)}
-	}
-	if cfg.maxProto() == protocolV1 {
-		c.proto = protocolV1 // no handshake: pure legacy lock-step
+		c.conn = newClientConn(conn)
 	}
 	lru.OnEvict(func(id trace.FileID) {
 		if d := c.data[id]; cap(d) > 0 && len(c.freeData) < 256 {
@@ -351,15 +327,6 @@ func (c *Client) Connected() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.conn != nil || c.mux != nil
-}
-
-// ProtocolVersion returns the negotiated protocol version: 0 before the
-// first handshake, then 1 (lock-step), 2 (pipelined), or 3 (pipelined
-// with streamed group replies).
-func (c *Client) ProtocolVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.proto
 }
 
 // ensureDense grows the FileID-indexed data/prefetched slices to cover id.
@@ -432,7 +399,7 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 	}
 	c.mu.Unlock()
 
-	resp, g, err := c.fetch(path, tctx)
+	g, err := c.fetch(path, tctx)
 	if err != nil {
 		return nil, err
 	}
@@ -440,16 +407,10 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 	c.mu.Lock()
 	c.stats.Opens++
 	c.stats.Fetches++
-	if g != nil {
-		c.installViews(id, g)
-	} else {
-		c.install(id, resp)
-	}
+	c.install(id, g)
 	out := append(buf[:0], c.data[id]...)
 	c.mu.Unlock()
-	if g != nil {
-		g.recycle()
-	}
+	g.recycle()
 	if tctx.Sampled {
 		c.cfg.Trace.Record(tctx, "client_open", path, tstart, time.Since(tstart))
 	}
@@ -491,7 +452,7 @@ func (c *Client) OpenGroupCtx(path string, tctx otrace.Ctx) ([]GroupFile, error)
 	}
 	c.mu.Unlock()
 
-	resp, g, err := c.fetch(path, tctx)
+	g, err := c.fetch(path, tctx)
 	if err != nil {
 		return nil, err
 	}
@@ -499,33 +460,17 @@ func (c *Client) OpenGroupCtx(path string, tctx otrace.Ctx) ([]GroupFile, error)
 	c.mu.Lock()
 	c.stats.Opens++
 	c.stats.Fetches++
-	if g != nil {
-		ids := c.installViews(id, g)
-		out := make([]GroupFile, len(ids))
-		for i, mid := range ids {
-			data := make([]byte, len(g.datas[i]))
-			copy(data, g.datas[i])
-			// The interner owns the path string, so no per-member
-			// allocation here.
-			out[i] = GroupFile{Path: c.ids.Path(mid), Data: data}
-		}
-		c.mu.Unlock()
-		g.recycle()
-		if tctx.Sampled {
-			c.cfg.Trace.Record(tctx, "client_open_group", path, tstart, time.Since(tstart))
-		}
-		return out, nil
-	}
-	c.install(id, resp)
-	out := make([]GroupFile, len(resp.Files))
-	for i, f := range resp.Files {
-		// The cache owns resp's slices after install; hand the caller
-		// copies so neither side can corrupt the other.
-		data := make([]byte, len(f.Data))
-		copy(data, f.Data)
-		out[i] = GroupFile{Path: f.Path, Data: data}
+	ids := c.install(id, g)
+	out := make([]GroupFile, len(ids))
+	for i, mid := range ids {
+		data := make([]byte, len(g.datas[i]))
+		copy(data, g.datas[i])
+		// The interner owns the path string, so no per-member
+		// allocation here.
+		out[i] = GroupFile{Path: c.ids.Path(mid), Data: data}
 	}
 	c.mu.Unlock()
+	g.recycle()
 	if tctx.Sampled {
 		c.cfg.Trace.Record(tctx, "client_open_group", path, tstart, time.Since(tstart))
 	}
@@ -599,8 +544,7 @@ func (c *Client) Handoff(anchor string, members []string) error {
 // note us for a symmetric pull-back if we are the newer side. The reply
 // is either the responder's full view (members non-nil: it was newer) or
 // just its epoch (members nil: it was not newer than the epoch we sent).
-// Requires cfg.Views; fails with ErrViewUnsupported against a peer whose
-// negotiated protocol predates version 3.
+// Requires cfg.Views.
 func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 	vs := c.cfg.Views
 	if vs == nil {
@@ -649,7 +593,7 @@ func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 // the receiver's epoch after the install. The pushed view is explicit
 // rather than read from cfg.Views because a draining node's goodbye
 // pushes a view it deliberately does not install itself. Requires
-// cfg.Views; fails with ErrViewUnsupported against a pre-v3 peer.
+// cfg.Views.
 func (c *Client) ViewPush(epoch uint64, members []string) (remoteEpoch uint64, err error) {
 	vs := c.cfg.Views
 	if vs == nil {
@@ -787,48 +731,35 @@ func decodeChunks(chunks [][]byte, path string) (*chunkGroup, error) {
 // transitions are re-sent — and the server still learns them — on the
 // next successful request (§3 metadata quality).
 //
-// The reply is either a contiguous group (the returned groupResponse) or,
-// on a version-3 connection, a streamed one (the returned chunkGroup,
-// which the caller recycles after installing).
-func (c *Client) fetch(path string, tctx otrace.Ctx) (groupResponse, *chunkGroup, error) {
+// The reply is a streamed group, returned as a chunkGroup the caller
+// recycles after installing.
+func (c *Client) fetch(path string, tctx otrace.Ctx) (*chunkGroup, error) {
 	typ, body, chunks, err := c.roundTrip(msgOpen, path, nil, tctx)
 	if err != nil {
-		return groupResponse{}, nil, err
+		return nil, err
 	}
 	defer putFrameBuf(body)
 	switch typ {
 	case msgGroup:
-		if chunks != nil {
-			g, derr := decodeChunks(chunks, path)
-			if derr != nil {
-				c.poisonCurrent()
-				return groupResponse{}, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
-			}
-			return groupResponse{}, g, nil
-		}
-		resp, derr := decodeGroupResponse(body)
+		g, derr := decodeChunks(chunks, path)
 		if derr != nil {
 			c.poisonCurrent()
-			return groupResponse{}, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
+			return nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
 		}
-		if resp.Files[0].Path != path {
-			c.poisonCurrent()
-			return groupResponse{}, nil, fmt.Errorf("%w: reply leads with %q, want %q", ErrConnBroken, resp.Files[0].Path, path)
-		}
-		return resp, nil, nil
+		return g, nil
 	case msgError:
 		e, derr := decodeErrorResponse(body)
 		if derr != nil {
 			c.poisonCurrent()
-			return groupResponse{}, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
+			return nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
 		}
 		if e.Code == CodeNotFound {
-			return groupResponse{}, nil, fmt.Errorf("%w: %s", ErrNotFound, e.Message)
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, e.Message)
 		}
-		return groupResponse{}, nil, fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
+		return nil, fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
 	default:
 		c.poisonCurrent()
-		return groupResponse{}, nil, fmt.Errorf("%w: unexpected reply type %d", ErrConnBroken, typ)
+		return nil, fmt.Errorf("%w: unexpected reply type %d", ErrConnBroken, typ)
 	}
 }
 
@@ -928,11 +859,11 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // roundTrip performs one request with retries: ensure a live transport
 // (handshaking and redialing as needed), send, await the matching reply.
 // Transport failures poison the connection and are retried with backoff
-// up to cfg.MaxRetries; a msgError carrying CodeBusy (the server's
-// MaxConns rejection) is retried the same way. Application errors are
-// returned to the caller undisturbed. The returned payload — or, for a
-// streamed group reply, each returned chunk — aliases a pooled buffer;
-// the caller recycles them with putFrameBuf after decoding.
+// up to cfg.MaxRetries; the server's MaxConns rejection (CodeBusy)
+// answers the handshake, so it is retried the same way. Application
+// errors are returned to the caller undisturbed. The returned payload —
+// or, for a streamed group reply, each returned chunk — aliases a pooled
+// buffer; the caller recycles them with putFrameBuf after decoding.
 func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, [][]byte, error) {
 	if c.m.inflight != nil {
 		c.m.inflight.Add(1)
@@ -942,7 +873,6 @@ func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otra
 			c.m.inflight.Add(-1)
 		}()
 	}
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoffDelay(attempt - 1))
@@ -957,58 +887,23 @@ func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otra
 			}
 			c.m.retries.Inc()
 		}
-		m, cc, err := c.transport()
+		m, err := c.transport()
 		if err != nil {
 			if errors.Is(err, errClientClosed) || attempt >= c.cfg.MaxRetries {
 				return 0, nil, nil, err
 			}
-			lastErr = err
 			continue
 		}
-		var typ uint8
-		var body []byte
-		var chunks [][]byte
-		var claimed []string
-		if m != nil {
-			typ, body, chunks, claimed, err = c.callMux(m, reqType, path, payload, tctx)
-		} else {
-			// Lock-step (v1) peers predate trace frames; the context is
-			// negotiated away exactly like view frames.
-			typ, body, claimed, err = c.callV1(cc, reqType, path, payload)
-		}
+		typ, body, chunks, claimed, err := c.callMux(m, reqType, path, payload, tctx)
 		if err != nil {
 			// The poisoning path already restored any claimed history.
-			lastErr = err
-			if errors.Is(err, errClientClosed) || errors.Is(err, ErrViewUnsupported) || attempt >= c.cfg.MaxRetries {
-				// ErrViewUnsupported is terminal: the peer's negotiated
-				// protocol has no view frames, and a retry renegotiates
-				// the same version.
-				return 0, nil, nil, lastErr
+			if errors.Is(err, errClientClosed) || attempt >= c.cfg.MaxRetries {
+				return 0, nil, nil, err
 			}
 			continue
 		}
-		if typ == msgError {
-			if e, derr := decodeErrorResponse(body); derr == nil && e.Code == CodeBusy {
-				// Accept-limit rejection: the server closes the connection
-				// after this reply and never processed the request, so the
-				// claimed history goes back on the backlog before backoff.
-				putFrameBuf(body)
-				c.restorePending(claimed)
-				busy := fmt.Errorf("%w: server busy: %s", ErrConnBroken, e.Message)
-				if m != nil {
-					m.poison(busy)
-				} else {
-					c.poison(cc)
-				}
-				lastErr = busy
-				if attempt >= c.cfg.MaxRetries {
-					return 0, nil, nil, lastErr
-				}
-				continue
-			}
-		}
-		// Any non-busy reply means the server consumed the piggybacked
-		// history; its storage can back the next backlog.
+		// Any reply means the server consumed the piggybacked history; its
+		// storage can back the next backlog.
 		c.freePending(claimed)
 		return typ, body, chunks, nil
 	}
@@ -1016,12 +911,6 @@ func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otra
 
 // callMux performs one pipelined call over the multiplexed transport.
 func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, [][]byte, []string, error) {
-	if isViewMsg(reqType) && m.ver < protocolV3 {
-		// A version-2 peer has no view frames; sending one would draw an
-		// "unknown message type" error and desynchronize nothing, but the
-		// contract is stronger: pre-v3 peers never see gossip traffic.
-		return 0, nil, nil, nil, ErrViewUnsupported
-	}
 	call, err := m.enqueue(reqType, path, payload, tctx)
 	if err != nil {
 		return 0, nil, nil, nil, err
@@ -1051,210 +940,105 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	return res.typ, res.payload, res.chunks, claimed, nil
 }
 
-// callV1 performs one lock-step round trip over the legacy transport.
-// reqMu serializes these; it is never held by the pipelined path.
-func (c *Client) callV1(cc *clientConn, reqType uint8, path string, payload []byte) (uint8, []byte, []string, error) {
-	if isViewMsg(reqType) {
-		// Lock-step peers predate view frames entirely.
-		return 0, nil, nil, ErrViewUnsupported
-	}
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	var claimed []string
-	var start time.Time
-	if reqType == msgOpen {
-		start = time.Now()
-		var accessed []string
-		accessed, claimed = c.claimPending(path)
-		enc := appendOpenRequest(getEncodeBuf(), path, accessed)
-		defer putFrameBuf(enc)
-		payload = enc
-	}
-	if c.cfg.Timeout > 0 {
-		_ = cc.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	}
-	err := writeFrame(cc.w, reqType, payload)
-	var typ uint8
-	var body []byte
-	if err == nil {
-		typ, body, err = readFrame(cc.r)
-	}
-	if err != nil {
-		c.restorePending(claimed)
-		c.poison(cc)
-		return 0, nil, nil, fmt.Errorf("%w: %v", ErrConnBroken, err)
-	}
-	if c.cfg.Timeout > 0 {
-		_ = cc.conn.SetDeadline(time.Time{})
-	}
-	if !start.IsZero() {
-		// Lock-step replies arrive whole, so first byte ≈ whole reply.
-		c.m.ttfb.ObserveDuration(time.Since(start))
-	}
-	return typ, body, claimed, nil
+// newClientConn wraps a freshly dialed socket with its buffers.
+func newClientConn(conn net.Conn) *clientConn {
+	return &clientConn{conn: conn, r: bufio.NewReaderSize(conn, connBufSize), w: bufio.NewWriterSize(conn, connBufSize)}
 }
 
-// transport returns the live transport — the mux for a version-2
-// connection, or the lock-step clientConn for version 1 — establishing
-// one (dial + handshake) when the slot is empty. connMu makes sure only
-// one goroutine dials while the rest wait and then share the result.
-func (c *Client) transport() (*muxConn, *clientConn, error) {
-	if m, cc, ok, err := c.liveTransport(); ok || err != nil {
-		return m, cc, err
+// transport returns the live mux, establishing one (dial + handshake)
+// when the slot is empty. connMu makes sure only one goroutine dials
+// while the rest wait and then share the result.
+func (c *Client) transport() (*muxConn, error) {
+	if m, err := c.liveMux(); m != nil || err != nil {
+		return m, err
 	}
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	if m, cc, ok, err := c.liveTransport(); ok || err != nil {
-		return m, cc, err
+	if m, err := c.liveMux(); m != nil || err != nil {
+		return m, err
 	}
 
-	// Take the not-yet-negotiated connection if there is one (the conn
+	// Take the not-yet-handshaken connection if there is one (the conn
 	// NewClient wrapped); otherwise this is a redial. The candidate stays
 	// published in c.conn throughout the handshake so a concurrent Close
-	// can abort a blocked negotiation by closing the socket.
+	// can abort a blocked handshake by closing the socket.
 	c.mu.Lock()
 	cc := c.conn
-	proto := c.proto
 	c.mu.Unlock()
 	countRedial := cc == nil
-	for {
-		if cc == nil {
-			if c.cfg.Dialer == nil {
-				return nil, nil, fmt.Errorf("%w: no dialer configured", ErrConnBroken)
-			}
-			raw, err := c.cfg.Dialer()
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: redial: %v", ErrConnBroken, err)
-			}
-			cc = &clientConn{conn: raw, r: bufio.NewReaderSize(raw, connBufSize), w: bufio.NewWriterSize(raw, connBufSize)}
-			c.mu.Lock()
-			if c.closed {
-				c.mu.Unlock()
-				_ = raw.Close()
-				return nil, nil, errClientClosed
-			}
-			c.conn = cc
+	if cc == nil {
+		if c.cfg.Dialer == nil {
+			return nil, fmt.Errorf("%w: no dialer configured", ErrConnBroken)
+		}
+		raw, err := c.cfg.Dialer()
+		if err != nil {
+			return nil, fmt.Errorf("%w: redial: %v", ErrConnBroken, err)
+		}
+		cc = newClientConn(raw)
+		c.mu.Lock()
+		if c.closed {
 			c.mu.Unlock()
+			_ = raw.Close()
+			return nil, errClientClosed
 		}
-		if proto == protocolV1 {
-			v1, err := c.installV1(cc, countRedial)
-			return nil, v1, err
-		}
-		ver, err := c.handshake(cc)
-		switch {
-		case err == nil && ver >= protocolV2:
-			m, err := c.installMux(cc, countRedial, ver)
-			return m, nil, err
-		case err == nil:
-			// The server negotiated version 1 explicitly; the same
-			// connection continues in lock-step mode.
-			c.setProto(protocolV1)
-			v1, ierr := c.installV1(cc, countRedial)
-			return nil, v1, ierr
-		case errors.Is(err, errLegacyServer):
-			// Pre-handshake peer: it answered the hello with "unknown
-			// message type" and closed the connection. Remember version 1
-			// and redial; the downgrade redial is connection
-			// establishment, not a reconnect or a broken connection, so
-			// neither stat moves.
-			c.m.events.Record("downgrade", obs.F("proto", "1"))
-			c.setProto(protocolV1)
-			proto = protocolV1
-			c.dropConn(cc)
-			cc = nil
-			if c.cfg.Dialer == nil {
-				return nil, nil, fmt.Errorf("%w: legacy server and no dialer to redial", ErrConnBroken)
-			}
-			continue
-		default:
-			// poison counts the broken connection only if the candidate is
-			// still in the slot — a concurrent Close already emptied it.
-			c.poison(cc)
-			return nil, nil, err
-		}
+		c.conn = cc
+		c.mu.Unlock()
 	}
+	if err := c.handshake(cc); err != nil {
+		// poison counts the broken connection only if the candidate is
+		// still in the slot — a concurrent Close already emptied it.
+		c.poison(cc)
+		return nil, err
+	}
+	return c.installMux(cc, countRedial)
 }
 
-// liveTransport returns the installed transport, if any. ok reports
-// whether one was found.
-func (c *Client) liveTransport() (*muxConn, *clientConn, bool, error) {
+// liveMux returns the installed mux, or nil when there is none.
+func (c *Client) liveMux() (*muxConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, nil, false, errClientClosed
+		return nil, errClientClosed
 	}
-	if c.mux != nil {
-		return c.mux, nil, true, nil
-	}
-	if c.proto == protocolV1 && c.conn != nil {
-		return nil, c.conn, true, nil
-	}
-	return nil, nil, false, nil
+	return c.mux, nil
 }
 
-func (c *Client) setProto(p int) {
-	c.mu.Lock()
-	c.proto = p
-	c.mu.Unlock()
-}
-
-// handshake offers our maximum protocol version and decodes the server's
-// answer. Called with connMu held, before the connection is installed.
-func (c *Client) handshake(cc *clientConn) (int, error) {
+// handshake offers protocolV3 and checks the server's answer: a
+// msgHelloOK for any other version, or a refusal, fails it with
+// ErrConnBroken. Called with connMu held, before the connection is
+// installed.
+func (c *Client) handshake(cc *clientConn) error {
 	if c.cfg.Timeout > 0 {
 		_ = cc.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 		defer cc.conn.SetDeadline(time.Time{})
 	}
-	if err := writeHello(cc.w, msgHello, c.cfg.maxProto()); err != nil {
-		return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
+	if err := writeHello(cc.conn, msgHello, protocolV3); err != nil {
+		return fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
 	typ, payload, err := readFrame(cc.r)
 	if err != nil {
-		return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
+		return fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
 	defer putFrameBuf(payload)
 	switch typ {
 	case msgHelloOK:
 		ver, derr := decodeHello(payload)
 		if derr != nil {
-			return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
+			return fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
 		}
-		if ver > c.cfg.maxProto() {
-			return 0, fmt.Errorf("%w: server negotiated unoffered version %d", ErrConnBroken, ver)
+		if ver != protocolV3 {
+			return fmt.Errorf("%w: server answered protocol version %d; this client speaks %d", ErrConnBroken, ver, protocolV3)
 		}
-		return ver, nil
+		return nil
 	case msgError:
 		e, derr := decodeErrorResponse(payload)
 		if derr != nil {
-			return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
+			return fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
 		}
-		if e.Code == CodeBadRequest {
-			return 0, errLegacyServer
-		}
-		return 0, fmt.Errorf("%w: handshake rejected: server error %d: %s", ErrConnBroken, e.Code, e.Message)
+		return fmt.Errorf("%w: handshake rejected: server error %d: %s", ErrConnBroken, e.Code, e.Message)
 	default:
-		return 0, fmt.Errorf("%w: unexpected handshake reply type %d", ErrConnBroken, typ)
+		return fmt.Errorf("%w: unexpected handshake reply type %d", ErrConnBroken, typ)
 	}
-}
-
-// installV1 publishes a lock-step connection. Called with connMu held.
-func (c *Client) installV1(cc *clientConn, countRedial bool) (*clientConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		_ = cc.conn.Close()
-		return nil, errClientClosed
-	}
-	c.proto = protocolV1
-	c.conn = cc
-	if countRedial {
-		c.stats.Reconnects++
-	}
-	c.mu.Unlock()
-	if countRedial {
-		c.noteReconnect(cc.conn)
-	}
-	return cc, nil
 }
 
 // noteReconnect mirrors a successful redial into the obs registry.
@@ -1268,19 +1052,18 @@ func (c *Client) noteReconnect(conn net.Conn) {
 	c.m.events.Record("reconnect", obs.F("addr", addr))
 }
 
-// installMux publishes a pipelined connection (negotiated version ver,
-// which is 2 or 3) and starts its goroutines. Called with connMu held.
-func (c *Client) installMux(cc *clientConn, countRedial bool, ver int) (*muxConn, error) {
-	m := newMuxConn(c, cc, ver)
+// installMux publishes a handshaken connection as the pipelined
+// transport and starts its goroutines. Called with connMu held.
+func (c *Client) installMux(cc *clientConn, countRedial bool) (*muxConn, error) {
+	m := newMuxConn(c, cc)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		_ = cc.conn.Close()
 		return nil, errClientClosed
 	}
-	c.proto = ver
 	if c.conn == cc {
-		c.conn = nil // the candidate graduates from the v1 slot to the mux
+		c.conn = nil // the candidate graduates to the mux
 	}
 	c.mux = m
 	if countRedial {
@@ -1294,20 +1077,8 @@ func (c *Client) installMux(cc *clientConn, countRedial bool, ver int) (*muxConn
 	return m, nil
 }
 
-// dropConn closes a connection and empties the slot without counting a
-// broken connection — used for the legacy-server downgrade, which is
-// connection establishment rather than a failure.
-func (c *Client) dropConn(cc *clientConn) {
-	_ = cc.conn.Close()
-	c.mu.Lock()
-	if c.conn == cc {
-		c.conn = nil
-	}
-	c.mu.Unlock()
-}
-
-// poison closes a broken lock-step connection and empties the slot so
-// nothing ever reuses its (possibly desynchronized) stream.
+// poison closes a connection whose handshake failed and empties the slot
+// so nothing ever reuses its (possibly desynchronized) stream.
 func (c *Client) poison(cc *clientConn) {
 	_ = cc.conn.Close()
 	c.mu.Lock()
@@ -1319,7 +1090,7 @@ func (c *Client) poison(cc *clientConn) {
 	c.mu.Unlock()
 	if counted {
 		c.m.brokenConns.Inc()
-		c.m.events.Record("conn_broken", obs.F("transport", "v1"))
+		c.m.events.Record("conn_broken", obs.F("phase", "handshake"))
 	}
 }
 
@@ -1339,21 +1110,18 @@ func (c *Client) dropMux(m *muxConn) {
 	c.mu.Unlock()
 	if counted {
 		c.m.brokenConns.Inc()
-		c.m.events.Record("conn_broken", obs.F("transport", "v2"))
+		c.m.events.Record("conn_broken", obs.F("phase", "mux"))
 	}
 }
 
-// poisonCurrent poisons whatever transport is currently installed; used
-// when a decoded reply reveals desynchronization after roundTrip returned.
+// poisonCurrent poisons the installed mux, if any; used when a decoded
+// reply reveals desynchronization after roundTrip returned.
 func (c *Client) poisonCurrent() {
 	c.mu.Lock()
-	cc, m := c.conn, c.mux
+	m := c.mux
 	c.mu.Unlock()
 	if m != nil {
 		m.poison(fmt.Errorf("%w: desynchronized reply stream", ErrConnBroken))
-	}
-	if cc != nil {
-		c.poison(cc)
 	}
 }
 
@@ -1396,7 +1164,7 @@ func (c *Client) storeScrap(calls map[uint64]*muxCall, orphans []*muxCall) {
 
 // TTFB returns a snapshot of the fetch time-to-first-byte histogram:
 // enqueue until the first reply frame of the request (the first member
-// chunk of a streamed reply, the whole group otherwise). Recorded for
+// chunk of a group reply, the whole reply otherwise). Recorded for
 // every fetch regardless of whether an obs registry is configured.
 func (c *Client) TTFB() obs.HistogramSnapshot {
 	return c.m.ttfb.Snapshot()
@@ -1414,12 +1182,14 @@ func (c *Client) setData(id trace.FileID, src []byte) {
 	c.data[id] = append(buf[:0], src...)
 }
 
-// installViews applies the aggregating-cache placement for a streamed
-// group, interning member paths straight from the chunk views (no string
-// materialization for already-known paths) and copying each member's
-// contents once, into the cache's own buffer. Returns the member IDs,
-// valid until mu is released. Called with mu held.
-func (c *Client) installViews(id trace.FileID, g *chunkGroup) []trace.FileID {
+// install applies the aggregating-cache placement — demanded file at
+// the head, other members appended at the tail, never evicting the
+// incoming group's own files to make room — interning member paths
+// straight from the chunk views (no string materialization for
+// already-known paths) and copying each member's contents once, into the
+// cache's own buffer. Returns the member IDs, valid until mu is released.
+// Called with mu held.
+func (c *Client) install(id trace.FileID, g *chunkGroup) []trace.FileID {
 	ids := c.gidScratch[:0]
 	for i := range g.paths {
 		mid := c.ids.InternBytes(g.paths[i])
@@ -1458,45 +1228,4 @@ func (c *Client) installViews(id trace.FileID, g *chunkGroup) []trace.FileID {
 		c.prefetched[mid] = true
 	}
 	return ids
-}
-
-// install applies the aggregating-cache placement: demanded file at the
-// head, other members appended at the tail, never evicting the incoming
-// group's own files to make room. Called with mu held.
-func (c *Client) install(id trace.FileID, resp groupResponse) {
-	memberIDs := make([]trace.FileID, len(resp.Files))
-	for i, f := range resp.Files {
-		memberIDs[i] = c.ids.Intern(f.Path)
-		c.ensureDense(memberIDs[i])
-		c.stats.FilesReceived++
-		c.stats.BytesReceived += uint64(len(f.Data))
-	}
-
-	for c.lru.Len() >= c.cfg.CacheCapacity {
-		if _, ok := c.lru.EvictVictimExceptIDs(memberIDs); ok {
-			continue
-		}
-		if _, ok := c.lru.EvictVictim(); !ok {
-			break
-		}
-	}
-	c.lru.InsertHead(id)
-	c.data[id] = resp.Files[0].Data
-	c.prefetched[id] = false
-
-	for i := 1; i < len(resp.Files); i++ {
-		mid := memberIDs[i]
-		if c.lru.Contains(mid) {
-			c.data[mid] = resp.Files[i].Data // refresh contents
-			continue
-		}
-		if c.lru.Len() >= c.cfg.CacheCapacity {
-			if _, ok := c.lru.EvictVictimExceptIDs(memberIDs); !ok {
-				break
-			}
-		}
-		c.lru.InsertTail(mid)
-		c.data[mid] = resp.Files[i].Data
-		c.prefetched[mid] = true
-	}
 }

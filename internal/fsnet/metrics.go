@@ -22,7 +22,6 @@ type serverMetrics struct {
 	coalesced   *obs.Counter
 	remote      *obs.Counter
 	handoffs    *obs.Counter
-	streamed    *obs.Counter
 
 	// Per-phase open latency: a request is a cache hit, a store stage,
 	// or a router forward — the three serving paths of DESIGN.md §10/§11.
@@ -47,7 +46,6 @@ func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 		m.coalesced = obs.NewCounter()
 		m.remote = obs.NewCounter()
 		m.handoffs = obs.NewCounter()
-		m.streamed = obs.NewCounter()
 		return m
 	}
 	m.requests = reg.Counter("fsnet_server_requests_total", "open and write requests served, including errors")
@@ -59,7 +57,6 @@ func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 	m.coalesced = reg.Counter("fsnet_server_coalesced_stages_total", "open requests that shared another request's in-flight store staging")
 	m.remote = reg.Counter("fsnet_server_remote_opens_total", "open requests answered by the configured router")
 	m.handoffs = reg.Counter("fsnet_server_handoff_groups_total", "drain handoff groups installed from departing peers")
-	m.streamed = reg.Counter("fsnet_server_streamed_groups_total", "group replies delivered as version-3 member streams")
 	const latName = "fsnet_server_request_latency_ns"
 	const latHelp = "open latency in nanoseconds by serving phase"
 	m.latHit = reg.Histogram(latName, latHelp, obs.L("phase", "hit"))
@@ -107,8 +104,8 @@ type clientMetrics struct {
 	events       *obs.EventLog
 
 	// ttfb records fetch time-to-first-byte: enqueue until the first
-	// reply frame of the request arrives (the first member chunk on a
-	// streamed reply, the whole group otherwise). Unlike the rest of the
+	// reply frame of the request arrives (the first member chunk of a
+	// group reply, the whole reply otherwise). Unlike the rest of the
 	// bundle it always exists — one atomic add per fetch — so load
 	// generators can report streaming latency without wiring a registry.
 	ttfb *obs.Histogram

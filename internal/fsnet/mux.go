@@ -11,26 +11,24 @@ import (
 	"aggcache/internal/obs/otrace"
 )
 
-// muxConn is the pipelined client transport (protocol version >= 2): one
-// TCP connection shared by any number of goroutines, with pipelined
-// requests and out-of-order replies matched by request ID.
+// muxConn is the client transport: one TCP connection shared by any
+// number of goroutines, with pipelined requests and out-of-order replies
+// matched by request ID.
 //
 // A writer goroutine drains a queue of calls and flushes them in batches
 // (many frames, one syscall); a reader goroutine decodes reply frames and
-// delivers each to its call's completion channel. On a version-3
-// connection a group reply arrives as a stream of msgMemberChunk frames
-// closed by msgGroupEnd; the reader accumulates the chunks and delivers
-// the completed group. Any transport or protocol error poisons the whole
-// connection: every in-flight call fails fast with ErrConnBroken, claimed
-// piggyback history is restored to the client in call order, and the
-// connection is closed and never reused — exactly the poisoning contract
-// the lock-step path established.
+// delivers each to its call's completion channel. A group reply arrives
+// as a stream of msgMemberChunk frames closed by msgGroupEnd; the reader
+// accumulates the chunks and delivers the completed group. Any transport
+// or protocol error poisons the whole connection: every in-flight call
+// fails fast with ErrConnBroken, claimed piggyback history is restored to
+// the client in call order, and the connection is closed and never
+// reused.
 type muxConn struct {
 	c    *Client
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
-	ver  int // negotiated protocol version (>= 2)
 
 	// View-hint piggyback state, touched only by the writer goroutine:
 	// the epoch last announced on this connection, so a stable view costs
@@ -75,11 +73,11 @@ type muxCall struct {
 	start time.Time
 	// tctx is the call's trace context. A sampled context makes the
 	// writer emit one msgTraceCtx piggyback frame ahead of the request
-	// frame (v3 only); the zero value sends nothing.
+	// frame; the zero value sends nothing.
 	tctx otrace.Ctx
-	// chunks accumulates the member-chunk payloads of a streamed
-	// (version-3) group reply until its msgGroupEnd arrives. Owned by the
-	// reader while the call is in flight.
+	// chunks accumulates the member-chunk payloads of a streamed group
+	// reply until its msgGroupEnd arrives. Owned by the reader while the
+	// call is in flight.
 	chunks [][]byte
 	// done receives exactly one result (buffered so the reader never
 	// blocks on a caller).
@@ -119,13 +117,12 @@ type muxResult struct {
 	err    error
 }
 
-func newMuxConn(c *Client, cc *clientConn, ver int) *muxConn {
+func newMuxConn(c *Client, cc *clientConn) *muxConn {
 	return &muxConn{
 		c:     c,
 		conn:  cc.conn,
 		r:     cc.r,
 		w:     cc.w,
-		ver:   ver,
 		calls: c.takeCallScrap(),
 		wake:  make(chan struct{}, 1),
 	}
@@ -147,9 +144,7 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 	call.typ = reqType
 	call.path = path
 	call.payload = payload
-	if tctx.Sampled && m.ver >= protocolV3 {
-		// Pre-v3 peers never see trace frames; dropping the context here
-		// (rather than erroring like view verbs) keeps tracing advisory.
+	if tctx.Sampled {
 		call.tctx = tctx
 	}
 	if reqType == msgOpen {
@@ -213,13 +208,13 @@ func (m *muxConn) writer() {
 			}
 			m.mu.Unlock()
 			var err error
-			// Piggyback the membership epoch ahead of the batch on a
-			// version-3 connection with a view source: one msgViewHint
-			// under request ID 0 (never a real request ID — those start at
-			// 1), re-sent only when the epoch changes. Appending to enc
-			// after the unlock is safe: if append reallocates, the batch
-			// payload slices keep aliasing the old (immutable) backing.
-			if m.ver >= protocolV3 && m.c.cfg.Views != nil {
+			// Piggyback the membership epoch ahead of the batch when a
+			// view source is wired: one msgViewHint under request ID 0
+			// (never a real request ID — those start at 1), re-sent only
+			// when the epoch changes. Appending to enc after the unlock is
+			// safe: if append reallocates, the batch payload slices keep
+			// aliasing the old (immutable) backing.
+			if m.c.cfg.Views != nil {
 				if epoch := m.c.cfg.Views.Epoch(); !m.hintSent || epoch != m.hintEpoch {
 					start := len(enc)
 					enc = appendViewMsg(enc, epoch, m.c.cfg.Views.Self())
@@ -272,8 +267,8 @@ func (m *muxConn) recycleBatch(batch []*muxCall) {
 	m.mu.Unlock()
 }
 
-// reader decodes replies and delivers each to its caller. Streamed
-// (version-3) group replies accumulate on their call until the closing
+// reader decodes replies and delivers each to its caller. Streamed group
+// replies accumulate on their call until the closing
 // msgGroupEnd. Any read or framing error — including Close of the
 // underlying connection — poisons the mux, which fails all in-flight
 // calls.
@@ -304,7 +299,12 @@ func (m *muxConn) reader() {
 		case msgMemberChunk:
 			m.mu.Lock()
 			call, ok := m.calls[id]
+			// The call stays in flight, so a poison may complete it — and
+			// its caller recycle it — once mu is released: copy what the
+			// TTFB sample needs while still holding the lock.
 			var first bool
+			var start time.Time
+			var tctx otrace.Ctx
 			if ok {
 				if len(call.chunks) >= maxGroup {
 					m.mu.Unlock()
@@ -313,6 +313,7 @@ func (m *muxConn) reader() {
 					return
 				}
 				first = len(call.chunks) == 0
+				start, tctx = call.start, call.tctx
 				if call.chunks == nil {
 					// One right-sized allocation per streamed reply
 					// instead of append's doubling crawl.
@@ -326,8 +327,8 @@ func (m *muxConn) reader() {
 				m.poison(fmt.Errorf("%w: chunk for unknown request %d", ErrConnBroken, id))
 				return
 			}
-			if first && !call.start.IsZero() {
-				m.observeTTFB(call)
+			if first && !start.IsZero() {
+				m.observeTTFB(start, tctx)
 			}
 		case msgGroupEnd:
 			m.mu.Lock()
@@ -375,20 +376,21 @@ func (m *muxConn) reader() {
 				return
 			}
 			if !call.start.IsZero() {
-				m.observeTTFB(call)
+				m.observeTTFB(call.start, call.tctx)
 			}
 			call.done <- muxResult{typ: typ, payload: payload}
 		}
 	}
 }
 
-// observeTTFB records a call's time-to-first-byte, attaching the trace
-// ID as a histogram exemplar only for sampled calls: rendering the hex
-// trace ID allocates, so unsampled requests stay on the plain path.
-func (m *muxConn) observeTTFB(call *muxCall) {
-	d := uint64(time.Since(call.start))
-	if call.tctx.Sampled {
-		m.c.m.ttfb.ObserveTrace(d, call.tctx.TraceID())
+// observeTTFB records a call's time-to-first-byte since its enqueue
+// time start, attaching the trace ID as a histogram exemplar only for
+// sampled calls: rendering the hex trace ID allocates, so unsampled
+// requests stay on the plain path.
+func (m *muxConn) observeTTFB(start time.Time, tctx otrace.Ctx) {
+	d := uint64(time.Since(start))
+	if tctx.Sampled {
+		m.c.m.ttfb.ObserveTrace(d, tctx.TraceID())
 		return
 	}
 	m.c.m.ttfb.Observe(d)

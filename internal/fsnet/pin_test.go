@@ -1,22 +1,24 @@
 package fsnet
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 
 	"aggcache/internal/core"
 )
 
-// The sequential-behaviour pin: a scripted, strictly sequential legacy
-// (v1) client session must produce byte-identical group replies and an
-// identical ServerStats snapshot across refactors of the serving path.
-// The constants below were captured from the pre-concurrency server; any
-// change to them is a semantic regression, not a perf improvement.
+// The sequential-behaviour pin: a scripted, strictly sequential client
+// session must produce byte-identical group replies and an identical
+// ServerStats snapshot across refactors of the serving path. The
+// constants below were captured from the pre-concurrency server, which
+// spoke the lock-step protocol and sent each group as one msgGroup
+// payload; the script now runs over the streamed protocol, and each
+// member stream is re-encoded in that msgGroup form before hashing, so
+// the same constants still pin the serving semantics. Any change to them
+// is a semantic regression, not a perf improvement.
 
 // pinStep is one scripted request: an open with an explicit piggybacked
 // history, or a whole-file write.
@@ -64,37 +66,72 @@ func pinScript() []pinStep {
 	}
 }
 
-// runPinScript replays the script over one raw legacy connection and
-// returns the SHA-256 over every reply frame (type byte || payload),
-// oldest first.
+// runPinScript replays the script over one raw connection, one request
+// in flight at a time, and returns the SHA-256 over every reply (type
+// byte || payload), oldest first — a member stream counting as one
+// msgGroup reply in the retired single-payload encoding.
 func runPinScript(t *testing.T, addr string) string {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	_, r, w := helloDial(t, addr)
 	h := sha256.New()
 	for i, step := range pinScript() {
-		var sendErr error
+		id := uint64(i + 1)
+		typ, payload := msgOpen, encodeOpenRequest(openRequest{Path: step.path, Accessed: step.accessed})
 		if step.write {
-			sendErr = writeFrame(w, msgWrite, encodeWriteRequest(writeRequest{Path: step.path, Data: []byte(step.data)}))
-		} else {
-			sendErr = writeFrame(w, msgOpen, encodeOpenRequest(openRequest{Path: step.path, Accessed: step.accessed}))
+			typ, payload = msgWrite, encodeWriteRequest(writeRequest{Path: step.path, Data: []byte(step.data)})
 		}
-		if sendErr != nil {
-			t.Fatalf("step %d send: %v", i, sendErr)
+		if err := putFrameID(w, typ, id, payload); err != nil {
+			t.Fatalf("step %d send: %v", i, err)
 		}
-		typ, payload, err := readFrame(r)
-		if err != nil {
-			t.Fatalf("step %d reply: %v", i, err)
+		if err := w.Flush(); err != nil {
+			t.Fatalf("step %d send: %v", i, err)
 		}
-		h.Write([]byte{typ})
-		h.Write(payload)
+		var chunks [][]byte
+		for {
+			typ, rid, payload, err := readFrameID(r)
+			if err != nil {
+				t.Fatalf("step %d reply: %v", i, err)
+			}
+			if rid != id {
+				t.Fatalf("step %d: reply for request %d, want %d", i, rid, id)
+			}
+			if typ == msgMemberChunk {
+				chunks = append(chunks, payload)
+				continue
+			}
+			if typ == msgGroupEnd {
+				n, err := decodeGroupEnd(payload)
+				if err != nil || n != len(chunks) {
+					t.Fatalf("step %d: group end %d, %v after %d chunks", i, n, err, len(chunks))
+				}
+				typ = msgGroup
+				if payload, err = groupEncoding(chunks); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			h.Write([]byte{typ})
+			h.Write(payload)
+			break
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// groupEncoding re-encodes a member stream — the msgMemberChunk payloads
+// of one reply, in order — as the payload of the retired single-frame
+// msgGroup reply: uvarint member count, then per member a length-prefixed
+// path and length-prefixed contents.
+func groupEncoding(chunks [][]byte) ([]byte, error) {
+	b := appendUvarint(nil, uint64(len(chunks)))
+	for _, c := range chunks {
+		path, data, err := memberChunkView(c)
+		if err != nil {
+			return nil, err
+		}
+		b = appendBytes(b, path)
+		b = appendBytes(b, data)
+	}
+	return b, nil
 }
 
 // Captured from the pre-concurrency (serialized) server. Do not update

@@ -23,8 +23,9 @@ const (
 	// the piggybacked list of paths the client accessed (hit or miss)
 	// since its previous request, in order.
 	msgOpen = uint8(iota + 1)
-	// msgGroup is the server->client reply: the demanded file first,
-	// then the opportunistically fetched group members.
+	// msgGroup is the retired monolithic group reply; no peer sends it.
+	// The code stays reserved, and the client's mux reports a completed
+	// member stream under this type.
 	msgGroup
 	// msgError is the server->client failure reply.
 	msgError
@@ -32,15 +33,14 @@ const (
 	msgWrite
 	// msgWriteOK acknowledges a write.
 	msgWriteOK
-	// msgHello is the client's protocol-version offer, sent as the very
-	// first frame of a connection by version-2-capable clients. Legacy
-	// servers answer it with msgError ("unknown message type") and close,
-	// which the client detects and downgrades to lock-step version 1.
+	// msgHello is the client's protocol-version offer, the very first
+	// frame of every connection. The server accepts exactly protocolV3;
+	// any other offer, or any other first frame, draws one msgError
+	// (CodeBadRequest) and the connection closes.
 	msgHello
-	// msgHelloOK is the server's handshake reply carrying the negotiated
-	// version: min(client offer, server maximum). At version >= 2 every
-	// subsequent frame on the connection carries a request ID and replies
-	// may return out of order.
+	// msgHelloOK is the server's handshake reply carrying protocolV3.
+	// Every subsequent frame on the connection carries a request ID and
+	// replies may return out of order.
 	msgHelloOK
 	// msgHandoff is a peer->peer drain transfer: one group a departing
 	// cluster node owned — the anchor path plus its learned members in
@@ -49,9 +49,9 @@ const (
 	msgHandoff
 	// msgHandoffOK acknowledges a handoff install.
 	msgHandoffOK
-	// msgMemberChunk is one member of a streamed (version-3) group reply:
-	// the path plus contents of a single file. The demanded file is always
-	// the first chunk of its request ID; chunks of different requests may
+	// msgMemberChunk is one member of a streamed group reply: the path
+	// plus contents of a single file. The demanded file is always the
+	// first chunk of its request ID; chunks of different requests may
 	// interleave on the wire, but chunks of one request arrive in group
 	// order.
 	msgMemberChunk
@@ -60,11 +60,11 @@ const (
 	msgGroupEnd
 	// msgViewHint is an advisory membership-epoch announcement: the
 	// sender's advertised cluster address plus its installed view epoch.
-	// It piggybacks on version-3 connections — unsolicited under request
+	// It piggybacks on the request stream — unsolicited under request
 	// ID 0, deduplicated per epoch per connection — and also serves as
 	// the "not newer than you" reply to msgViewPull and the ack to
 	// msgViewPush. Advisory only: a receiver without a view source
-	// ignores it, and it is never sent on a pre-v3 connection.
+	// ignores it.
 	msgViewHint
 	// msgViewPull asks the receiver for its membership view. The payload
 	// carries the puller's own address and epoch so the responder can
@@ -80,25 +80,18 @@ const (
 	// frame under request ID 0 announcing the trace context (128-bit
 	// trace ID, parent span ID, flags) of the request frame that follows
 	// it in the same batch, matched by the annotated request ID it
-	// carries. Sent only for head-sampled requests and only on version-3
-	// connections (negotiated away like view frames, see traces.go); a
+	// carries. Sent only for head-sampled requests (see traces.go); a
 	// receiver without a tracer skips it.
 	msgTraceCtx
 )
 
-// Protocol versions. Version 1 is the original lock-step protocol (no
-// handshake, one request in flight per connection); version 2 adds the
-// hello exchange and request-ID framing for pipelining; version 3 keeps
-// version 2's framing but streams each group reply as per-member
-// msgMemberChunk frames closed by msgGroupEnd, so the client starts
-// consuming member 1 while the server is still writing member g and the
-// server never assembles a group into one contiguous reply buffer.
-const (
-	protocolV1     = 1
-	protocolV2     = 2
-	protocolV3     = 3
-	protocolLatest = protocolV3
-)
+// protocolV3 is the one protocol version: request-ID framing with each
+// group reply streamed as per-member msgMemberChunk frames closed by
+// msgGroupEnd, so the client starts consuming member 1 while the server
+// is still writing member g and the server never assembles a group into
+// one contiguous reply buffer. Versions 1 (lock-step) and 2 (monolithic
+// msgGroup replies) are retired; the hello exchange refuses them.
+const protocolV3 = 3
 
 // Protocol limits; violations terminate the connection.
 const (
@@ -109,11 +102,12 @@ const (
 	maxFileSize  = 8 << 20
 )
 
-// connBufSize sizes the per-connection bufio reader and writer on both
-// ends. A convoy reply for a whole group runs tens of KB; with the
-// 4 KiB bufio default that is a dozen read/write syscalls per fetch,
-// and syscall time dominates the loopback CPU profile. 64 KiB moves a
-// convoy in one or two.
+// connBufSize sizes the per-connection bufio readers on both ends and
+// the client's request writer (the server writes replies scatter-gather,
+// straight to the socket). A convoy reply for a whole group runs tens of
+// KB; with the 4 KiB bufio default that is a dozen read/write syscalls
+// per fetch, and syscall time dominates the loopback CPU profile. 64 KiB
+// moves a convoy in one or two.
 const connBufSize = 64 << 10
 
 // Error codes carried by msgError.
@@ -147,11 +141,6 @@ type GroupFile struct {
 	Data []byte
 }
 
-// groupResponse is the payload of msgGroup.
-type groupResponse struct {
-	Files []fileData
-}
-
 // HandoffGroup is one group being drained from a departing cluster node
 // to the peer that owns it next: the anchor path plus its learned
 // members in group order, metadata only — the stores are replicated, so
@@ -167,35 +156,22 @@ type errorResponse struct {
 	Message string
 }
 
-// writeFrame emits one frame: u32 length (type+payload), u8 type, payload.
-func writeFrame(w *bufio.Writer, typ uint8, payload []byte) error {
-	if err := putFrame(w, typ, payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// putFrame buffers one v1 frame without flushing, so batches of frames
-// can share a single flush (and, typically, a single syscall).
-func putFrame(w *bufio.Writer, typ uint8, payload []byte) error {
+// writeFrame emits one handshake-phase frame — the hello exchange, or an
+// error reply to a peer that never completed it — in a single Write: u32
+// length (type+payload), u8 type, payload. These frames carry no request
+// ID.
+func writeFrame(w io.Writer, typ uint8, payload []byte) error {
 	if len(payload)+1 > maxFrame {
 		return fmt.Errorf("fsnet: frame of %d bytes exceeds limit", len(payload)+1)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	b := binary.BigEndian.AppendUint32(getEncodeBuf(), uint32(len(payload)+1))
+	b = append(b, typ)
+	b = append(b, payload...)
+	_, err := w.Write(b)
+	putFrameBuf(b)
 	return err
 }
 
-// readFrame reads one frame, returning its type and payload. The header
-// is read separately from the payload so the returned payload slice spans
-// its pooled buffer from offset zero: recycling it preserves the buffer's
-// full capacity. (Slicing the type byte off a combined read would shave a
-// byte of capacity per cycle until every buffer cap-missed.)
 // peekN returns n buffered bytes without consuming them, with
 // io.ReadFull's error semantics (ErrUnexpectedEOF on a partial header).
 // Peeking instead of reading into a local array keeps the header bytes
@@ -212,6 +188,12 @@ func peekN(r *bufio.Reader, n int) ([]byte, error) {
 	return b, nil
 }
 
+// readFrame reads one handshake-phase frame (no request ID), returning
+// its type and payload. The header is read separately from the payload
+// so the returned payload slice spans its pooled buffer from offset zero:
+// recycling it preserves the buffer's full capacity. (Slicing the type
+// byte off a combined read would shave a byte of capacity per cycle
+// until every buffer cap-missed.)
 func readFrame(r *bufio.Reader) (uint8, []byte, error) {
 	hdr, err := peekN(r, 4)
 	if err != nil {
@@ -237,18 +219,19 @@ func readFrame(r *bufio.Reader) (uint8, []byte, error) {
 	return typ, payload, nil
 }
 
-// Version-2 framing: u32 length (type + id + payload), u8 type, u64
-// request ID, payload. The request ID ties a reply to its request so a
-// pipelined connection may return replies out of order.
-const v2HdrLen = 1 + 8 // type + request ID, inside the length prefix
+// Request-ID framing, used for every frame after the hello: u32 length
+// (type + id + payload), u8 type, u64 request ID, payload. The request ID
+// ties a reply to its request so a pipelined connection may return
+// replies out of order.
+const idHdrLen = 1 + 8 // type + request ID, inside the length prefix
 
-// putFrameID buffers one v2 frame without flushing.
+// putFrameID buffers one ID-framed frame without flushing.
 func putFrameID(w *bufio.Writer, typ uint8, id uint64, payload []byte) error {
-	if len(payload)+v2HdrLen > maxFrame {
-		return fmt.Errorf("fsnet: frame of %d bytes exceeds limit", len(payload)+v2HdrLen)
+	if len(payload)+idHdrLen > maxFrame {
+		return fmt.Errorf("fsnet: frame of %d bytes exceeds limit", len(payload)+idHdrLen)
 	}
-	var hdr [4 + v2HdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+v2HdrLen))
+	var hdr [4 + idHdrLen]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+idHdrLen))
 	hdr[4] = typ
 	binary.BigEndian.PutUint64(hdr[5:], id)
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -258,7 +241,7 @@ func putFrameID(w *bufio.Writer, typ uint8, id uint64, payload []byte) error {
 	return err
 }
 
-// readFrameID reads one v2 frame, returning its type, request ID, and
+// readFrameID reads one ID-framed frame, returning its type, request ID, and
 // payload. The payload aliases a pooled buffer; hand it back via
 // putFrameBuf once fully decoded. As in readFrame, the frame header is
 // read separately so the recycled payload keeps its full capacity.
@@ -268,19 +251,19 @@ func readFrameID(r *bufio.Reader) (uint8, uint64, []byte, error) {
 		return 0, 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(lenb)
-	if n < v2HdrLen || n > maxFrame {
+	if n < idHdrLen || n > maxFrame {
 		// As in readFrame: reject the length before demanding the inner
 		// header, so a runt frame errors instead of blocking.
 		return 0, 0, nil, fmt.Errorf("fsnet: frame length %d out of range", n)
 	}
 	_, _ = r.Discard(4)
-	hdr, err := peekN(r, v2HdrLen)
+	hdr, err := peekN(r, idHdrLen)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("fsnet: short frame: %w", err)
 	}
 	typ, id := hdr[0], binary.BigEndian.Uint64(hdr[1:])
-	_, _ = r.Discard(v2HdrLen)
-	payload := getFrameBuf(int(n) - v2HdrLen)
+	_, _ = r.Discard(idHdrLen)
+	payload := getFrameBuf(int(n) - idHdrLen)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		putFrameBuf(payload)
 		return 0, 0, nil, fmt.Errorf("fsnet: short frame: %w", err)
@@ -337,15 +320,10 @@ func getEncodeBuf() []byte {
 	return getFrameBuf(0)
 }
 
-// helloRequest is the payload of msgHello and msgHelloOK: just a protocol
-// version.
-func encodeHello(version int) []byte {
-	return appendUvarint(nil, uint64(version))
-}
-
-// writeHello frames a hello/helloOK through a pooled scratch buffer, so
-// handshakes allocate nothing.
-func writeHello(w *bufio.Writer, typ uint8, version int) error {
+// writeHello frames a hello/helloOK — whose payload is just a uvarint
+// protocol version — through a pooled scratch buffer, so handshakes
+// allocate nothing.
+func writeHello(w io.Writer, typ uint8, version int) error {
 	b := appendUvarint(getEncodeBuf(), uint64(version))
 	err := writeFrame(w, typ, b)
 	putFrameBuf(b)
@@ -585,49 +563,6 @@ func decodeWriteRequest(payload []byte) (writeRequest, error) {
 	return req, nil
 }
 
-func encodeGroupResponse(resp groupResponse) []byte {
-	return appendGroupResponse(nil, resp.Files)
-}
-
-// appendGroupResponse appends a contiguous (version ≤ 2) group-reply
-// payload to dst; the reply writer encodes into pooled buffers through
-// this.
-func appendGroupResponse(dst []byte, files []fileData) []byte {
-	dst = appendUvarint(dst, uint64(len(files)))
-	for _, f := range files {
-		dst = appendString(dst, f.Path)
-		dst = appendBytes(dst, f.Data)
-	}
-	return dst
-}
-
-func decodeGroupResponse(payload []byte) (groupResponse, error) {
-	d := decoder{buf: payload}
-	var resp groupResponse
-	n, err := d.uvarint()
-	if err != nil {
-		return resp, err
-	}
-	if n == 0 || n > maxGroup {
-		return resp, fmt.Errorf("fsnet: group of %d files out of range", n)
-	}
-	resp.Files = make([]fileData, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var f fileData
-		if f.Path, err = d.str(maxPath); err != nil {
-			return resp, err
-		}
-		if f.Data, err = d.bytes(maxFileSize); err != nil {
-			return resp, err
-		}
-		resp.Files = append(resp.Files, f)
-	}
-	if err := d.done(); err != nil {
-		return resp, err
-	}
-	return resp, nil
-}
-
 func encodeErrorResponse(resp errorResponse) []byte {
 	return appendErrorResponse(nil, resp)
 }
@@ -654,11 +589,11 @@ func decodeErrorResponse(payload []byte) (errorResponse, error) {
 	return resp, nil
 }
 
-// Version-3 streamed group replies. A group reply is n msgMemberChunk
-// frames — each carrying one file's path and contents — closed by one
-// msgGroupEnd frame carrying the member count. All frames reuse the
-// version-2 framing (length, type, request ID), so chunks of different
-// pipelined requests may interleave; within one request ID, chunks arrive
+// Streamed group replies. A group reply is n msgMemberChunk frames —
+// each carrying one file's path and contents — closed by one msgGroupEnd
+// frame carrying the member count. All frames use the request-ID framing
+// (length, type, request ID), so chunks of different pipelined requests
+// may interleave; within one request ID, chunks arrive
 // in group order with the demanded file first.
 //
 // The server never materializes a chunk frame as one contiguous buffer:
@@ -682,13 +617,13 @@ func appendMemberChunkHdr(dst []byte, id uint64, path string, dataLen int) []byt
 	return dst
 }
 
-// appendFrameID appends one complete v2-framed message (header plus
+// appendFrameID appends one complete ID-framed message (header plus
 // payload) to dst; the scatter-gather reply path uses it for the small
 // frames (group end, write/handoff acks, errors) that share a batch with
 // streamed chunks.
 func appendFrameID(dst []byte, typ uint8, id uint64, payload []byte) []byte {
 	dst = append(dst, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[len(dst)-4:], uint32(len(payload)+v2HdrLen))
+	binary.BigEndian.PutUint32(dst[len(dst)-4:], uint32(len(payload)+idHdrLen))
 	dst = append(dst, typ)
 	dst = binary.BigEndian.AppendUint64(dst, id)
 	return append(dst, payload...)

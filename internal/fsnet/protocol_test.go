@@ -10,8 +10,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, msgOpen, []byte("hello")); err != nil {
+	if err := writeFrame(&buf, msgOpen, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(bufio.NewReader(&buf))
@@ -25,8 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, msgError, nil); err != nil {
+	if err := writeFrame(&buf, msgError, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(bufio.NewReader(&buf))
@@ -122,47 +120,59 @@ func TestDecodeOpenRequestRejects(t *testing.T) {
 	}
 }
 
+// chunkPayload encodes one member chunk and returns its payload (the
+// frame minus length prefix, type, and request ID).
+func chunkPayload(path string, data []byte) []byte {
+	return append(appendMemberChunkHdr(nil, 1, path, len(data)), data...)[4+idHdrLen:]
+}
+
+// TestGroupResponseRoundTrip: a group reply — member chunks plus the
+// closing count — decodes back to exactly what was encoded.
 func TestGroupResponseRoundTrip(t *testing.T) {
-	resp := groupResponse{Files: []fileData{
+	files := []fileData{
 		{Path: "/a", Data: []byte("alpha")},
 		{Path: "/b", Data: nil},
 		{Path: "/c", Data: []byte{0, 1, 2, 255}},
-	}}
-	got, err := decodeGroupResponse(encodeGroupResponse(resp))
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(got.Files) != 3 {
-		t.Fatalf("files = %d", len(got.Files))
+	for i, f := range files {
+		path, data, err := memberChunkView(chunkPayload(f.Path, f.Data))
+		if err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+		if string(path) != f.Path || !bytes.Equal(data, f.Data) {
+			t.Errorf("chunk %d = %q %v, want %q %v", i, path, data, f.Path, f.Data)
+		}
 	}
-	if got.Files[0].Path != "/a" || string(got.Files[0].Data) != "alpha" {
-		t.Errorf("file 0 = %+v", got.Files[0])
-	}
-	if len(got.Files[1].Data) != 0 {
-		t.Errorf("file 1 data = %v, want empty", got.Files[1].Data)
-	}
-	if !bytes.Equal(got.Files[2].Data, []byte{0, 1, 2, 255}) {
-		t.Errorf("file 2 data = %v", got.Files[2].Data)
+	if n, err := decodeGroupEnd(appendGroupEnd(nil, len(files))); err != nil || n != len(files) {
+		t.Errorf("group end = %d, %v; want %d", n, err, len(files))
 	}
 }
 
 func TestDecodeGroupResponseRejects(t *testing.T) {
 	// Empty group.
-	if _, err := decodeGroupResponse(encodeGroupResponse(groupResponse{})); err == nil {
+	if _, err := decodeGroupEnd(appendGroupEnd(nil, 0)); err == nil {
 		t.Error("empty group accepted")
 	}
 	// Too many files.
-	big := groupResponse{Files: make([]fileData, maxGroup+1)}
-	for i := range big.Files {
-		big.Files[i] = fileData{Path: "/f"}
-	}
-	if _, err := decodeGroupResponse(encodeGroupResponse(big)); err == nil {
+	if _, err := decodeGroupEnd(appendGroupEnd(nil, maxGroup+1)); err == nil {
 		t.Error("oversized group accepted")
 	}
-	// Truncated.
-	full := encodeGroupResponse(groupResponse{Files: []fileData{{Path: "/a", Data: []byte("zz")}}})
-	if _, err := decodeGroupResponse(full[:len(full)-1]); err == nil {
-		t.Error("truncated group accepted")
+	// Trailing bytes after the count.
+	if _, err := decodeGroupEnd(append(appendGroupEnd(nil, 2), 0)); err == nil {
+		t.Error("trailing bytes accepted")
+	}
+	// Truncated chunk.
+	full := chunkPayload("/a", []byte("zz"))
+	if _, _, err := memberChunkView(full[:len(full)-1]); err == nil {
+		t.Error("truncated chunk accepted")
+	}
+	// Empty path.
+	if _, _, err := memberChunkView(chunkPayload("", []byte("zz"))); err == nil {
+		t.Error("empty chunk path accepted")
+	}
+	// Path over limit.
+	if _, _, err := memberChunkView(chunkPayload(strings.Repeat("p", maxPath+1), nil)); err == nil {
+		t.Error("oversized chunk path accepted")
 	}
 }
 

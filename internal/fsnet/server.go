@@ -45,12 +45,6 @@ type ServerConfig struct {
 	// are rejected gracefully: the server sends msgError with CodeBusy
 	// and closes. Zero means unlimited.
 	MaxConns int
-	// MaxProtocol caps the protocol version the server negotiates. Zero
-	// allows the latest. Setting 1 makes the server answer the version
-	// handshake exactly like a pre-handshake server ("unknown message
-	// type", then close) — every client is forced onto the lock-step
-	// protocol, which doubles as the serialized benchmark baseline.
-	MaxProtocol int
 	// Router, when set, is consulted before any open is served from the
 	// local cache and store. It lets an embedding tier (internal/cluster)
 	// place a path's group on another server: when the router reports the
@@ -80,8 +74,8 @@ type ServerConfig struct {
 	// trace frames and keeps the serving path span-free.
 	Trace *otrace.Tracer
 	// Views, when set, wires membership-view dissemination into the
-	// serving path (internal/gossip): version-3 reply batches piggyback
-	// the local epoch as a msgViewHint, inbound hints feed
+	// serving path (internal/gossip): reply batches piggyback the local
+	// epoch as a msgViewHint, inbound hints feed
 	// Views.NoteViewEpoch, and msgViewPull/msgViewPush are served.
 	// Nil answers view frames with CodeBadRequest and keeps the reply
 	// stream byte-identical to a pre-gossip server.
@@ -144,21 +138,13 @@ type TracedRouter interface {
 	RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (files []GroupFile, handled bool, err error)
 }
 
-// maxProto normalizes MaxProtocol to a usable version number.
-func (cfg ServerConfig) maxProto() int {
-	if cfg.MaxProtocol <= 0 || cfg.MaxProtocol > protocolLatest {
-		return protocolLatest
-	}
-	return cfg.MaxProtocol
-}
-
 // ServerStats is a snapshot of server activity.
 type ServerStats struct {
 	// Requests counts open requests served (including errors).
 	Requests uint64
-	// Errors counts error replies plus protocol violations (malformed
-	// or truncated frames, unknown message types) that terminated a
-	// connection.
+	// Errors counts error replies (including refused handshakes) plus
+	// protocol violations (malformed or truncated frames) that
+	// terminated a connection.
 	Errors uint64
 	// FilesSent counts files transferred in group replies.
 	FilesSent uint64
@@ -180,10 +166,6 @@ type ServerStats struct {
 	// peers (each learns the group's successor chain and stages its
 	// anchor into the cache).
 	Handoffs uint64
-	// StreamedGroups counts group replies delivered as version-3 member
-	// streams (msgMemberChunk frames) rather than one contiguous
-	// msgGroup payload.
-	StreamedGroups uint64
 	// Cache is the server memory cache accounting (hits are requests
 	// served without staging from the store).
 	Cache core.Stats
@@ -339,9 +321,9 @@ func (s *Server) Serve(l net.Listener) error {
 
 // rejectConn turns an over-limit connection away gracefully: a best-effort
 // msgError carrying CodeBusy, then close. The write is deadline-bounded so
-// a non-reading peer cannot pin the goroutine. The reply uses version-1
-// framing, which both protocol generations decode (a version-2 client sees
-// it as the answer to its handshake).
+// a non-reading peer cannot pin the goroutine. The reply uses the
+// handshake-phase framing (no request ID): the client reads it as the
+// answer to its hello.
 func (s *Server) rejectConn(conn net.Conn) {
 	defer conn.Close()
 	d := s.cfg.WriteTimeout
@@ -349,8 +331,7 @@ func (s *Server) rejectConn(conn net.Conn) {
 		d = 2 * time.Second
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(d))
-	w := bufio.NewWriter(conn)
-	_ = writeFrame(w, msgError, encodeErrorResponse(errorResponse{
+	_ = writeFrame(conn, msgError, encodeErrorResponse(errorResponse{
 		Code:    CodeBusy,
 		Message: "server at connection limit",
 	}))
@@ -406,7 +387,6 @@ func (s *Server) Stats() ServerStats {
 		CoalescedStages: s.m.coalesced.Load(),
 		RemoteOpens:     s.m.remote.Load(),
 		Handoffs:        s.m.handoffs.Load(),
-		StreamedGroups:  s.m.streamed.Load(),
 		Cache:           cacheStats,
 	}
 	// Last, so its value bounds every per-outcome counter read above.
@@ -435,65 +415,43 @@ func (s *Server) logf(format string, args ...interface{}) {
 // recorded within one client's stream, so interleaved clients cannot
 // manufacture relationships that never happened on any machine (§2.2).
 //
-// The first frame selects the protocol: msgHello negotiates a version
-// (when the server allows version 2) and hands the connection to the
-// pipelined serving loop; anything else is served by the original
-// lock-step loop, first frame included, so pre-handshake clients work
-// byte-for-byte as before.
+// The first frame must be a msgHello offering exactly protocolV3: the
+// server answers msgHelloOK and hands the connection to the pipelined
+// serving loop. Anything else — another version, another frame type, an
+// undecodable hello — gets one msgError (CodeBadRequest), counted in
+// Errors, and the connection closes.
 func (s *Server) handleConn(conn net.Conn, src uint64) {
 	r := bufio.NewReaderSize(conn, connBufSize)
-	w := bufio.NewWriterSize(conn, connBufSize)
-	// Panic recovery for the negotiation and lock-step paths. The
-	// pipelined path recovers per request (and in its read loop) and
-	// never panics out of serveV2, so this defer cannot race its reply
-	// writer.
-	defer func() {
-		if p := recover(); p != nil {
-			s.m.panics.Add(1)
-			s.logf("fsnet: %s: recovered handler panic: %v", conn.RemoteAddr(), p)
-			s.armWrite(conn)
-			_ = s.replyV1(w, nil, errorResponse{Code: CodeInternal, Message: "internal server error"})
-		}
-	}()
-
-	typ, payload, ok := s.readRequestV1(conn, r)
+	typ, payload, ok := s.readHello(conn, r)
 	if !ok {
 		return
 	}
-	if typ == msgHello && s.cfg.maxProto() >= protocolV2 {
-		offered, err := decodeHello(payload)
-		putFrameBuf(payload)
-		if err != nil {
-			s.armWrite(conn)
-			_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-			return
-		}
-		ver := offered
-		if ver > s.cfg.maxProto() {
-			ver = s.cfg.maxProto()
-		}
-		s.armWrite(conn)
-		if err := writeHello(w, msgHelloOK, ver); err != nil {
-			s.disconnect(conn, err)
-			return
-		}
-		if ver >= protocolV2 {
-			s.serveV2(conn, r, w, src, ver)
-			return
-		}
-		s.serveV1(conn, r, w, src, 0, nil, false)
+	var err error
+	if typ != msgHello {
+		err = fmt.Errorf("first frame must be a hello, got message type %d", typ)
+	} else if ver, derr := decodeHello(payload); derr != nil {
+		err = derr
+	} else if ver != protocolV3 {
+		err = fmt.Errorf("protocol version %d unsupported; this server speaks %d", ver, protocolV3)
+	}
+	putFrameBuf(payload)
+	s.armWrite(conn)
+	if err != nil {
+		s.m.errors.Add(1)
+		_ = writeFrame(conn, msgError, encodeErrorResponse(errorResponse{Code: CodeBadRequest, Message: err.Error()}))
 		return
 	}
-	// A msgHello reaching serveV1 (MaxProtocol 1) hits the unknown-type
-	// branch — the exact answer a pre-handshake server gives, which is
-	// what tells the client to downgrade.
-	s.serveV1(conn, r, w, src, typ, payload, true)
+	if err := writeHello(conn, msgHelloOK, protocolV3); err != nil {
+		s.disconnect(conn, err)
+		return
+	}
+	s.serve(conn, r, src)
 }
 
-// readRequestV1 arms the idle deadline and reads one version-1 frame,
+// readHello arms the idle deadline and reads a connection's first frame,
 // classifying read failures: clean departures (EOF, closed, idle timeout)
 // are silent, anything else counts as a protocol error.
-func (s *Server) readRequestV1(conn net.Conn, r *bufio.Reader) (uint8, []byte, bool) {
+func (s *Server) readHello(conn net.Conn, r *bufio.Reader) (uint8, []byte, bool) {
 	if s.cfg.IdleTimeout > 0 {
 		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
 			return 0, nil, false
@@ -510,98 +468,18 @@ func (s *Server) readRequestV1(conn net.Conn, r *bufio.Reader) (uint8, []byte, b
 	return typ, payload, true
 }
 
-// serveV1 is the original lock-step loop: one request, one reply, in
-// order. first (when haveFirst) is a frame handleConn already read.
-func (s *Server) serveV1(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src uint64, firstTyp uint8, firstPayload []byte, haveFirst bool) {
-	for {
-		var typ uint8
-		var payload []byte
-		if haveFirst {
-			typ, payload = firstTyp, firstPayload
-			haveFirst = false
-		} else {
-			var ok bool
-			typ, payload, ok = s.readRequestV1(conn, r)
-			if !ok {
-				return
-			}
-		}
-		switch typ {
-		case msgOpen:
-			// Lock-step (v1) peers predate trace frames, so the open is
-			// untraced unless the server's own sampler admits it.
-			group, errResp, _, err := s.openFrame(payload, src, s.cfg.Trace.Root(), false)
-			if err != nil {
-				s.armWrite(conn)
-				_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-			s.armWrite(conn)
-			if err := s.replyV1(w, group, errResp); err != nil {
-				s.disconnect(conn, err)
-				return
-			}
-		case msgWrite:
-			req, err := decodeWriteRequest(payload)
-			putFrameBuf(payload)
-			if err != nil {
-				s.armWrite(conn)
-				_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-			errResp := s.write(req)
-			s.armWrite(conn)
-			var sendErr error
-			if errResp.Code != 0 {
-				sendErr = s.replyV1(w, nil, errResp)
-			} else {
-				sendErr = writeFrame(w, msgWriteOK, nil)
-			}
-			if sendErr != nil {
-				s.disconnect(conn, sendErr)
-				return
-			}
-		case msgHandoff:
-			req, err := decodeHandoffRequest(payload)
-			putFrameBuf(payload)
-			if err != nil {
-				s.armWrite(conn)
-				_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-			s.handoff(req)
-			s.armWrite(conn)
-			if err := writeFrame(w, msgHandoffOK, nil); err != nil {
-				s.disconnect(conn, err)
-				return
-			}
-		default:
-			// The frame itself parsed, so the stream is intact; still,
-			// an unknown type means an incompatible peer. Reply with a
-			// typed error, then depart.
-			putFrameBuf(payload)
-			s.armWrite(conn)
-			_ = s.replyV1(w, nil, errorResponse{
-				Code:    CodeBadRequest,
-				Message: fmt.Sprintf("unknown message type %d", typ),
-			})
-			return
-		}
-	}
-}
-
-// serveV2 is the pipelined loop. Every open is decoded and learned here,
+// serve is the pipelined loop. Every open is decoded and learned here,
 // once and in arrival order, whatever serves it; opens that settle
 // without blocking — unrouted, owned, or answered by an InlineRouter —
 // are then served inline (a goroutine spawn plus two scheduler hops per
 // request is measurable at loopback rates), while opens that need the
 // router's blocking path, writes, and handoffs get a bounded handler
 // goroutine each (DESIGN.md §10). A dedicated reply writer batches
-// completed replies — out of order — onto the wire with one flush per
+// completed replies — out of order — onto the wire with one write per
 // batch. A malformed request payload fails only its own request; the
 // framed stream stays intact, so the connection keeps serving.
-func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src uint64, ver int) {
-	rw := newReplyWriter(s, conn, w, ver)
+func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
+	rw := newReplyWriter(s, conn)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, maxServerPipeline)
 	spawn := func(handle func()) {
@@ -616,8 +494,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 	func() {
 		// A panic in the read loop itself (as opposed to in a handler,
 		// which recovers per request) must not skip the drain below: the
-		// reply writer owns the write side and a stray v1-framed reply
-		// would corrupt it.
+		// reply writer owns the write side.
 		defer func() {
 			if p := recover(); p != nil {
 				s.m.panics.Add(1)
@@ -647,7 +524,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 				// Unsolicited epoch announcement piggybacked ahead of a
 				// client's request batch. Advisory by design: malformed or
 				// unconfigured hints are dropped, never answered, so a
-				// plain v3 client works unchanged against a gossip-enabled
+				// plain client works unchanged against a gossip-enabled
 				// server and vice versa.
 				if vs := s.cfg.Views; vs != nil {
 					if epoch, sender, derr := decodeViewMsg(payload); derr == nil {
@@ -682,7 +559,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 					tctx = s.cfg.Trace.Root()
 				}
 				pendCtx = otrace.Ctx{}
-				if call := s.serveOpenV2(rw, src, id, payload, tctx); call != nil {
+				if call := s.serveOpen(rw, src, id, payload, tctx); call != nil {
 					spawn(func() {
 						defer s.recoverRequest(rw, id)
 						files, errResp := s.finishOpen(call)
@@ -691,7 +568,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 				}
 				continue
 			}
-			spawn(func() { s.serveRequestV2(rw, typ, id, payload) })
+			spawn(func() { s.serveRequest(rw, typ, id, payload) })
 		}
 	}()
 	wg.Wait()
@@ -709,12 +586,12 @@ func (s *Server) recoverRequest(rw *replyWriter, id uint64) {
 	}
 }
 
-// serveOpenV2 runs one pipelined open in the read loop: decode, learn,
+// serveOpen runs one pipelined open in the read loop: decode, learn,
 // and — unless the router needs its blocking path — resolve and reply.
 // It returns the learned open when a handler goroutine must finish it.
-func (s *Server) serveOpenV2(rw *replyWriter, src, id uint64, payload []byte, tctx otrace.Ctx) *openCall {
+func (s *Server) serveOpen(rw *replyWriter, src, id uint64, payload []byte, tctx otrace.Ctx) *openCall {
 	defer s.recoverRequest(rw, id)
-	files, errResp, call, err := s.openFrame(payload, src, tctx, true)
+	files, errResp, call, err := s.openFrame(payload, src, tctx)
 	switch {
 	case err != nil:
 		rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
@@ -724,9 +601,9 @@ func (s *Server) serveOpenV2(rw *replyWriter, src, id uint64, payload []byte, tc
 	return call
 }
 
-// serveRequestV2 handles one pipelined non-open request on a handler
+// serveRequest handles one pipelined non-open request on a handler
 // goroutine.
-func (s *Server) serveRequestV2(rw *replyWriter, typ uint8, id uint64, payload []byte) {
+func (s *Server) serveRequest(rw *replyWriter, typ uint8, id uint64, payload []byte) {
 	defer s.recoverRequest(rw, id)
 	switch typ {
 	case msgWrite:
@@ -820,23 +697,6 @@ func (s *Server) armWrite(conn net.Conn) {
 func (s *Server) disconnect(conn net.Conn, err error) {
 	s.m.disconnects.Add(1)
 	s.logf("fsnet: %s: write: %v", conn.RemoteAddr(), err)
-}
-
-// replyV1 writes one lock-step reply, counting error replies. The
-// payload is encoded into a pooled buffer; the wire bytes are identical
-// to the historical allocate-per-reply encoding.
-func (s *Server) replyV1(w *bufio.Writer, group []fileData, errResp errorResponse) error {
-	var b []byte
-	var typ uint8
-	if errResp.Code != 0 {
-		s.m.errors.Add(1)
-		typ, b = msgError, appendErrorResponse(getEncodeBuf(), errResp)
-	} else {
-		typ, b = msgGroup, appendGroupResponse(getEncodeBuf(), group)
-	}
-	err := writeFrame(w, typ, b)
-	putFrameBuf(b)
-	return err
 }
 
 // write stores a whole-file update. Writes are write-through to the
@@ -956,13 +816,12 @@ type openCall struct {
 
 // openFrame runs one open request frame and consumes payload. It decodes
 // the frame once, as byte views, learns the open (learnOpen), and
-// resolves it: from the local cache and store, from an InlineRouter's
-// answer, or through the router's blocking path. With async set, an open
-// that needs the blocking path is returned as call, for a handler
-// goroutine to finish with finishOpen, instead of being resolved here. A
-// non-nil err reports a malformed payload: the caller answers
-// CodeBadRequest, and no request is counted.
-func (s *Server) openFrame(payload []byte, src uint64, tctx otrace.Ctx, async bool) (files []fileData, errResp errorResponse, call *openCall, err error) {
+// resolves it: from the local cache and store or from an InlineRouter's
+// answer. An open that needs the router's blocking path is returned as
+// call, for a handler goroutine to finish with finishOpen. A non-nil err
+// reports a malformed payload: the caller answers CodeBadRequest, and no
+// request is counted.
+func (s *Server) openFrame(payload []byte, src uint64, tctx otrace.Ctx) (files []fileData, errResp errorResponse, call *openCall, err error) {
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
 	defer putFrameBuf(payload)
@@ -998,10 +857,7 @@ func (s *Server) openFrame(payload []byte, src uint64, tctx otrace.Ctx, async bo
 	default:
 		bc := c
 		bc.accessed = append([]string(nil), sc.accessed...)
-		if async {
-			return nil, errorResponse{}, &bc, nil
-		}
-		files, errResp = s.finishOpen(&bc)
+		return nil, errorResponse{}, &bc, nil
 	}
 	return files, errResp, nil, nil
 }
@@ -1184,24 +1040,22 @@ func (s *Server) stageGroup(path string, paths []string) ([]fileData, bool) {
 
 // replyWriter serializes and batches the replies of one pipelined
 // connection: handler goroutines enqueue completed replies, and a single
-// writer goroutine drains whatever has accumulated with one flush — so k
+// writer goroutine drains whatever has accumulated with one write — so k
 // ready replies cost one syscall, and a slow store read never blocks the
 // replies queued behind it.
 //
-// At protocol version 3 the writer is scatter-gather: group replies are
-// member streams whose frame headers and path metadata live in one
-// pooled arena while the file contents ride as store references, and the
-// whole batch goes to the socket in a single net.Buffers writev — the
-// reply bytes are never assembled into a contiguous buffer.
+// The writer is scatter-gather: group replies are member streams whose
+// frame headers and path metadata live in one pooled arena while the file
+// contents ride as store references, and the whole batch goes to the
+// socket in a single net.Buffers writev — the reply bytes are never
+// assembled into a contiguous buffer.
 type replyWriter struct {
 	s    *Server
 	conn net.Conn
-	w    *bufio.Writer
-	ver  int
 
 	mu      sync.Mutex
-	queue   []v2Reply
-	free    []v2Reply // recycled batch storage
+	queue   []reply
+	free    []reply // recycled batch storage
 	dead    bool
 	stop    bool
 	wake    chan struct{}
@@ -1211,14 +1065,12 @@ type replyWriter struct {
 
 	// View-hint piggyback state, touched only by the loop goroutine: the
 	// epoch last announced on this connection, so a stable view costs one
-	// frame per connection rather than one per batch. Only the version-3
-	// batch path hints; v2 reply bytes stay identical to every earlier
-	// server.
+	// frame per connection rather than one per batch.
 	sentAny   bool
 	sentEpoch uint64
 }
 
-type v2Reply struct {
+type reply struct {
 	id      uint64
 	typ     uint8
 	payload []byte
@@ -1226,19 +1078,17 @@ type v2Reply struct {
 	// writer hands it back once the bytes are on the wire (or the write
 	// side is dead).
 	pooled bool
-	// files, when non-nil, is a streamed version-3 group reply (typ and
-	// payload are unused): one msgMemberChunk per file plus a closing
+	// files, when non-nil, is a streamed group reply (typ and payload
+	// are unused): one msgMemberChunk per file plus a closing
 	// msgGroupEnd. The slice is the singleflight-shared staging result —
 	// read-only here.
 	files []fileData
 }
 
-func newReplyWriter(s *Server, conn net.Conn, w *bufio.Writer, ver int) *replyWriter {
+func newReplyWriter(s *Server, conn net.Conn) *replyWriter {
 	rw := &replyWriter{
 		s:       s,
 		conn:    conn,
-		w:       w,
-		ver:     ver,
 		wake:    make(chan struct{}, 1),
 		stopped: make(chan struct{}),
 	}
@@ -1246,7 +1096,7 @@ func newReplyWriter(s *Server, conn net.Conn, w *bufio.Writer, ver int) *replyWr
 	return rw
 }
 
-// sendError enqueues an error reply, counting it like the lock-step path.
+// sendError enqueues an error reply, counting it in Errors.
 func (rw *replyWriter) sendError(id uint64, errResp errorResponse) {
 	rw.s.m.errors.Add(1)
 	rw.send(id, msgError, appendErrorResponse(getEncodeBuf(), errResp), true)
@@ -1254,24 +1104,20 @@ func (rw *replyWriter) sendError(id uint64, errResp errorResponse) {
 
 // send enqueues one reply frame for the writer goroutine.
 func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
-	rw.enqueue(v2Reply{id: id, typ: typ, payload: payload, pooled: pooled})
+	rw.enqueue(reply{id: id, typ: typ, payload: payload, pooled: pooled})
 }
 
-// sendOpen enqueues an open's reply: its error, or its group — streamed
-// member by member at version 3, one msgGroup payload before.
+// sendOpen enqueues an open's reply: its error, or its group, streamed
+// member by member.
 func (rw *replyWriter) sendOpen(id uint64, files []fileData, errResp errorResponse) {
-	switch {
-	case errResp.Code != 0:
+	if errResp.Code != 0 {
 		rw.sendError(id, errResp)
-	case rw.ver >= protocolV3:
-		rw.s.m.streamed.Add(1)
-		rw.enqueue(v2Reply{id: id, files: files})
-	default:
-		rw.send(id, msgGroup, appendGroupResponse(getEncodeBuf(), files), true)
+		return
 	}
+	rw.enqueue(reply{id: id, files: files})
 }
 
-func (rw *replyWriter) enqueue(rep v2Reply) {
+func (rw *replyWriter) enqueue(rep reply) {
 	rw.mu.Lock()
 	if rw.dead {
 		rw.mu.Unlock()
@@ -1325,12 +1171,7 @@ func (rw *replyWriter) loop() {
 				break
 			}
 			rw.s.armWrite(rw.conn)
-			var err error
-			if rw.ver >= protocolV3 {
-				err = rw.writeBatchV3(batch)
-			} else {
-				err = rw.writeBatchV2(batch)
-			}
+			err := rw.writeBatch(batch)
 			rw.recycle(batch)
 			if err != nil {
 				rw.fail(err)
@@ -1340,34 +1181,13 @@ func (rw *replyWriter) loop() {
 	}
 }
 
-// writeBatchV2 is the contiguous-frame path: each reply's payload is
-// buffered through the bufio writer and the batch shares one flush. The
-// wire bytes are identical to every earlier version-2 server.
-func (rw *replyWriter) writeBatchV2(batch []v2Reply) error {
-	var err error
-	for i := range batch {
-		rep := &batch[i]
-		if err = putFrameID(rw.w, rep.typ, rep.id, rep.payload); err != nil {
-			break
-		}
-		if rep.pooled {
-			putFrameBuf(rep.payload)
-			rep.pooled = false
-		}
-	}
-	if err == nil {
-		err = rw.w.Flush()
-	}
-	return err
-}
-
-// writeBatchV3 is the scatter-gather path: frame headers and chunk
+// writeBatch writes one batch scatter-gather: frame headers and chunk
 // metadata accumulate in one pooled arena, file contents are referenced
 // in place, and the whole batch leaves in a single net.Buffers write.
 // Arena growth may reallocate its backing array, but segments already
 // recorded in bufs keep pointing at the old array's (immutable) bytes,
 // so earlier frames are never corrupted.
-func (rw *replyWriter) writeBatchV3(batch []v2Reply) error {
+func (rw *replyWriter) writeBatch(batch []reply) error {
 	arena := getEncodeBuf()
 	bufs := rw.bufs[:0]
 	// Piggyback the membership epoch ahead of the batch when a view
@@ -1419,12 +1239,12 @@ func (rw *replyWriter) writeBatchV3(batch []v2Reply) error {
 
 // recycle returns any still-pooled payloads and offers the batch storage
 // back for the next drain.
-func (rw *replyWriter) recycle(batch []v2Reply) {
+func (rw *replyWriter) recycle(batch []reply) {
 	for i := range batch {
 		if batch[i].pooled {
 			putFrameBuf(batch[i].payload)
 		}
-		batch[i] = v2Reply{}
+		batch[i] = reply{}
 	}
 	rw.mu.Lock()
 	if rw.free == nil || cap(batch) > cap(rw.free) {
@@ -1435,7 +1255,7 @@ func (rw *replyWriter) recycle(batch []v2Reply) {
 
 // release drops a batch that will never be written, returning its pooled
 // payloads.
-func (rw *replyWriter) release(batch []v2Reply) {
+func (rw *replyWriter) release(batch []reply) {
 	for i := range batch {
 		if batch[i].pooled {
 			putFrameBuf(batch[i].payload)

@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 GO=${GO:-go}
 
 { $GO test -run '^$' \
-    -bench 'BenchmarkOpenLoopback$|BenchmarkOpenLoopbackSerial|BenchmarkOpenPipelined' \
+    -bench 'BenchmarkOpenLoopback$|BenchmarkOpenPipelined' \
     -benchmem -benchtime 0.5s -count 1 ./internal/fsnet/ ; \
   $GO test -run '^$' -bench 'BenchmarkOpenRouted' \
     -benchmem -benchtime 0.5s -count 1 ./internal/cluster/ ; } \
