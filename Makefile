@@ -60,8 +60,8 @@ gossip:
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkTrackerObserve|BenchmarkSuccessorEntropyK1' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClientSweep|BenchmarkServerSweep' -benchmem -benchtime 2x ./internal/simulate/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenPipelined' -benchmem ./internal/fsnet/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOpenRouted' -benchmem ./internal/cluster/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenPipelined' -benchmem -cpu 1 ./internal/fsnet/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOpenRouted' -benchmem -cpu 1 ./internal/cluster/ ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -gobench ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -serial -gobench ; \
 	  $(GO) run ./cmd/aggbench -cluster 1 -conns 9 -workers 4 -opens 4000 -gobench ; \

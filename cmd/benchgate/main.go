@@ -7,12 +7,15 @@
 //	go test -run '^$' -bench . -benchmem ./internal/fsnet/ | benchgate -baseline BENCH_BASELINE.json
 //
 // allocs/op is the gated metric: it is deterministic for a fixed code
-// path, so a 20% jump is a code change, not scheduler noise. ns/op and
-// B/op deltas are reported for context but never fail the gate — wall
-// time on shared CI machines is too noisy to gate on. Benchmarks only in
-// the baseline (not run today) or only in today's run (new) are listed
-// and skipped. Refresh the baseline with `make bench-json` when a change
-// moves the numbers on purpose.
+// path, so a 20% jump is a code change, not scheduler noise. A gated
+// benchmark measured at a GOMAXPROCS other than its baseline entry's
+// fails outright: a concurrent path's allocs/op (and its ns/op) depend
+// on how many Ps its goroutines spread over, so the two numbers would
+// not be comparable. ns/op and B/op deltas are reported for context but
+// never fail the gate — wall time on shared CI machines is too noisy to
+// gate on. Benchmarks only in the baseline (not run today) or only in
+// today's run (new) are listed and skipped. Refresh the baseline with
+// `make bench-json` when a change moves the numbers on purpose.
 package main
 
 import (
@@ -85,6 +88,12 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			fmt.Fprintf(out, "INFO  %-40s ns/op %+.1f%% (no allocs/op; not gated)\n", cur.Name, nsDelta)
 			continue
 		}
+		if cur.Procs != ref.Procs {
+			failures++
+			fmt.Fprintf(out, "FAIL  %-40s measured at procs %d, baseline at procs %d (run with -cpu %d)\n",
+				cur.Name, cur.Procs, ref.Procs, ref.Procs)
+			continue
+		}
 		limit := refAllocs*(1+*threshold) + *slack
 		if curAllocs > limit {
 			failures++
@@ -102,7 +111,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	if failures > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed allocs/op beyond %.0f%%", failures, *threshold*100)
+		return fmt.Errorf("%d benchmark(s) regressed allocs/op beyond %.0f%% or ran at the wrong procs", failures, *threshold*100)
 	}
 	return nil
 }

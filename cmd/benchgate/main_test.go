@@ -54,6 +54,19 @@ func TestGateFailsOnAllocRegression(t *testing.T) {
 	}
 }
 
+func TestGateFailsOnProcsMismatch(t *testing.T) {
+	// Allocs hold, but the run is at GOMAXPROCS 2 against a procs-1
+	// baseline entry.
+	in := strings.NewReader("BenchmarkOpenLoopback-2 \t 120 \t 5000 ns/op \t 1200 B/op \t 4 allocs/op\n")
+	var out bytes.Buffer
+	if err := run([]string{"-baseline", writeBaseline(t)}, in, &out); err == nil {
+		t.Fatalf("gate passed a run at the wrong procs:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL  BenchmarkOpenLoopback") || !strings.Contains(out.String(), "procs 2") {
+		t.Errorf("missing procs FAIL line:\n%s", out.String())
+	}
+}
+
 func TestGateIgnoresTimeRegression(t *testing.T) {
 	// ns/op triples but allocs hold: informational only.
 	in := strings.NewReader("BenchmarkOpenLoopback \t 120 \t 15000 ns/op \t 1200 B/op \t 4 allocs/op\n")

@@ -65,6 +65,55 @@ func TestClusterLearnsForwardedOpens(t *testing.T) {
 	}
 }
 
+// TestClusterReceivingNodeChoosesGroup: a forwarded open's reply follows
+// the receiving node's successors, not the owner's. A client of node 1
+// teaches anchor→follow (node 0 owns both), then a direct client of node
+// 0 makes anchor→other the owner's most recent successor. A fresh client
+// of node 1 must still get follow ahead of other, with the owner's bytes.
+func TestClusterReceivingNodeChoosesGroup(t *testing.T) {
+	tc := startCluster(t, 3, func(i int, cfg *Config) {
+		cfg.MirrorCapacity = -1 // every open of anchor is an owner forward
+	})
+	anchor := tc.pathOwnedBy(t, 0, nil)
+	follow := tc.pathOwnedBy(t, 0, map[string]bool{anchor: true})
+	other := tc.pathOwnedBy(t, 0, map[string]bool{anchor: true, follow: true})
+
+	trainer := tc.client(t, 1, fsnet.ClientConfig{})
+	direct := tc.client(t, 0, fsnet.ClientConfig{})
+	for _, step := range []struct {
+		c    *fsnet.Client
+		next string
+	}{{trainer, follow}, {direct, other}} {
+		for round := 0; round < 3; round++ {
+			for _, p := range []string{anchor, step.next} {
+				if _, err := step.c.OpenGroup(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	probe := tc.client(t, 1, fsnet.ClientConfig{})
+	group, err := probe.OpenGroup(anchor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := make(map[string]int, len(group))
+	paths := make([]string, len(group))
+	for i, f := range group {
+		pos[f.Path], paths[i] = i, f.Path
+		if string(f.Data) != testContent(f.Path) {
+			t.Errorf("member %s data = %q", f.Path, f.Data)
+		}
+	}
+	fi, okF := pos[follow]
+	oi, okO := pos[other]
+	if paths[0] != anchor || !okF || !okO || fi > oi {
+		t.Fatalf("group of %s = %v, want the anchor, then %s (node 1's successor) before %s (the owner's)",
+			anchor, paths, follow, other)
+	}
+}
+
 // TestRouteOpenNowVerdicts pins the inline half of routing: owned paths
 // are local, unmirrored remote paths need the blocking path and count
 // nothing yet, and a mirrored group is answered with the mirror counter

@@ -10,8 +10,9 @@ import (
 
 const benchFiles = 512
 
-// benchPair stands up a loopback server plus one client.
-func benchPair(b *testing.B) *Client {
+// benchPair stands up a loopback server with group size g plus one
+// client.
+func benchPair(b *testing.B, g int) *Client {
 	b.Helper()
 	store := NewStore()
 	for i := 0; i < benchFiles; i++ {
@@ -20,7 +21,7 @@ func benchPair(b *testing.B) *Client {
 			b.Fatal(err)
 		}
 	}
-	srv, err := NewServer(store, ServerConfig{GroupSize: 5, CacheCapacity: 256})
+	srv, err := NewServer(store, ServerConfig{GroupSize: g, CacheCapacity: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +62,7 @@ var benchPaths = func() [benchFiles]string {
 // full protocol stack on a loopback socket, cycling through a working set
 // larger than the client cache so misses and group replies are exercised.
 func BenchmarkOpenLoopback(b *testing.B) {
-	client := benchPair(b)
+	client := benchPair(b, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,10 +76,17 @@ func BenchmarkOpenLoopback(b *testing.B) {
 
 // BenchmarkOpenPipelined shares one client — one connection — across 8
 // goroutines, exercising the multiplexed transport and the server's
-// concurrent serving path end to end.
+// concurrent serving path end to end. Every open is a fetch of one file,
+// whatever the interleaving: each worker cycles through its own
+// benchFiles/8 paths, so a path's reuse distance spans the whole working
+// set, four times the client cache, and the server's groups are single
+// files. With larger groups the server would learn the connection's
+// interleaved stream and prefetch other workers' paths, so the hit rate
+// and allocs/op would follow scheduling rather than the code.
 func BenchmarkOpenPipelined(b *testing.B) {
-	client := benchPair(b)
+	client := benchPair(b, 1)
 	const workers = 8
+	const span = benchFiles / workers
 	b.ReportAllocs()
 	b.ResetTimer()
 	var next atomic.Int64
@@ -88,12 +96,11 @@ func BenchmarkOpenPipelined(b *testing.B) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(b.N) {
+			for j := 0; ; j++ {
+				if next.Add(1) > int64(b.N) {
 					return
 				}
-				if _, err := client.Open(benchPaths[(int(i)*7+w)%benchFiles]); err != nil {
+				if _, err := client.Open(benchPaths[w*span+j%span]); err != nil {
 					failed.Store(err)
 					return
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -261,5 +262,125 @@ func TestClusterNoteAccessRelay(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("relayed transition f002->f003 not learned; group = %v", groupPaths(group))
+	}
+}
+
+// ownerRouter answers opens of anchor with a fixed owner's group and
+// declines every other path to the local serving path.
+type ownerRouter struct {
+	anchor string
+	group  []GroupFile
+}
+
+func (r *ownerRouter) RouteOpen(path string, _ []string) ([]GroupFile, bool, error) {
+	if path != r.anchor {
+		return nil, false, nil
+	}
+	return r.group, true, nil
+}
+
+func ownerFile(path string) GroupFile {
+	return GroupFile{Path: path, Data: []byte("owner's " + path)}
+}
+
+// TestRoutedReplyLocalGroup: a routed open of a locally stored path is
+// answered with the router's demanded file, then the receiving server's
+// own group members (the router's bytes where its group carries them,
+// the local store's otherwise), then the router's remaining members up
+// to g. With no local successors yet, the router's group is the reply.
+func TestRoutedReplyLocalGroup(t *testing.T) {
+	const anchor, x, y = "/data/f000", "/data/f001", "/data/f002"
+	router := &ownerRouter{anchor: anchor, group: []GroupFile{
+		ownerFile(anchor), ownerFile("/data/f005"), ownerFile(x),
+		ownerFile("/data/f006"), ownerFile("/data/f007"),
+	}}
+	srv, addr := startServer(t, seededStore(t, 8), ServerConfig{GroupSize: 5, Router: router})
+	client, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// Cold: the server has learned no successor of anchor.
+	group, err := client.OpenGroup(anchor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGroup(t, "cold", group, router.group)
+
+	// Teach the connection's stream anchor→x→y.
+	for _, p := range []string{x, y} {
+		if _, err := client.OpenGroup(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.Stats()
+	group, err = client.OpenGroup(anchor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGroup(t, "warm", group, []GroupFile{
+		ownerFile(anchor),
+		ownerFile(x), // the router carries x: its bytes win
+		{Path: y, Data: []byte("contents of " + y)},
+		ownerFile("/data/f005"),
+		ownerFile("/data/f006"),
+	})
+	after := srv.Stats()
+	if after.RemoteOpens != before.RemoteOpens+1 || after.FilesSent != before.FilesSent+5 {
+		t.Errorf("RemoteOpens %d→%d, FilesSent %d→%d; want +1 and +5",
+			before.RemoteOpens, after.RemoteOpens, before.FilesSent, after.FilesSent)
+	}
+	if after.Cache.GroupFetches != before.Cache.GroupFetches || after.Cache.Hits != before.Cache.Hits {
+		t.Errorf("routed reply touched the local cache: %+v → %+v", before.Cache, after.Cache)
+	}
+
+	// Pooled reply groups under concurrency: every reply keeps the
+	// router's bytes for the files the router sent and the store's for
+	// the rest, with no member repeated.
+	owned := make(map[string]bool)
+	for _, f := range router.group {
+		owned[f.Path] = true
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				group, err := client.OpenGroup(anchor)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := make(map[string]bool)
+				for _, f := range group {
+					want := "contents of " + f.Path
+					if owned[f.Path] {
+						want = "owner's " + f.Path
+					}
+					if seen[f.Path] || string(f.Data) != want {
+						t.Errorf("concurrent group %v: member %s data %q", groupPaths(group), f.Path, f.Data)
+						return
+					}
+					seen[f.Path] = true
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func assertGroup(t *testing.T, name string, got, want []GroupFile) {
+	t.Helper()
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		same = got[i].Path == want[i].Path && string(got[i].Data) == string(want[i].Data)
+	}
+	if !same {
+		t.Errorf("%s group = %v, want %v", name, groupPaths(got), groupPaths(want))
+		for i, f := range got {
+			t.Logf("  %d %s %q", i, f.Path, f.Data)
+		}
 	}
 }

@@ -48,12 +48,17 @@ type ServerConfig struct {
 	// Router, when set, is consulted before any open is served from the
 	// local cache and store. It lets an embedding tier (internal/cluster)
 	// place a path's group on another server: when the router reports the
-	// request handled, its files become the reply verbatim and the local
-	// cache and store are left untouched. When it reports the request
-	// unhandled the server serves it locally as usual — which is also the
-	// cluster tier's degraded path when the owning peer is down. Either
-	// way the open was learned into the local successor metadata before
-	// the router ran.
+	// request handled, its group answers the open and the local cache is
+	// left untouched. The reply leads with the router's demanded file;
+	// when the local store holds that path and this server has learned
+	// successors for it, the server's own group members follow — bytes
+	// from the router's group where it carries the member, else from the
+	// local store — and the router's remaining members fill the reply up
+	// to GroupSize. Otherwise the router's group is the reply as is.
+	// When the router reports the request unhandled the server serves it
+	// locally as usual — which is also the cluster tier's degraded path
+	// when the owning peer is down. Either way the open was learned into
+	// the local successor metadata before the router ran.
 	Router OpenRouter
 	// Logger receives connection-level errors; nil discards them.
 	Logger *log.Logger
@@ -88,7 +93,10 @@ type ServerConfig struct {
 type OpenRouter interface {
 	// RouteOpen resolves path into its group — demanded file first — or
 	// reports handled=false to have the server stage the group from its
-	// own store. accessed is the client's piggybacked access history,
+	// own store. The group is the owner's: the server may re-rank its
+	// members by its own successors (see ServerConfig.Router), but always
+	// replies with files[0] as the demanded file's contents. accessed is
+	// the client's piggybacked access history,
 	// relayed so the remote owner's metadata stays as complete as the
 	// local server's would (§3). A handled error is returned to the
 	// client: ErrNotFound maps to CodeNotFound, anything else to
@@ -107,10 +115,10 @@ type InlineRouter interface {
 	// RouteOpenNow must not block on network I/O. path is the demanded
 	// path as it sits in the request frame and accessed is the interned
 	// piggybacked history; both are valid only for the duration of the
-	// call. RouteAnswered hands back the reply group (demanded file
-	// first); RouteBlocking has the server call RouteOpen (or
-	// RouteOpenTraced) on a handler goroutine, which settles the open
-	// from scratch.
+	// call. RouteAnswered hands back the group (demanded file first),
+	// which answers the open as a RouteOpen group does; RouteBlocking
+	// has the server call RouteOpen (or RouteOpenTraced) on a handler
+	// goroutine, which settles the open from scratch.
 	RouteOpenNow(path []byte, accessed []string, tctx otrace.Ctx) ([]GroupFile, Route)
 }
 
@@ -562,8 +570,7 @@ func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
 				if call := s.serveOpen(rw, src, id, payload, tctx); call != nil {
 					spawn(func() {
 						defer s.recoverRequest(rw, id)
-						files, errResp := s.finishOpen(call)
-						rw.sendOpen(id, files, errResp)
+						rw.sendOpen(id, s.finishOpen(call))
 					})
 				}
 				continue
@@ -591,12 +598,12 @@ func (s *Server) recoverRequest(rw *replyWriter, id uint64) {
 // It returns the learned open when a handler goroutine must finish it.
 func (s *Server) serveOpen(rw *replyWriter, src, id uint64, payload []byte, tctx otrace.Ctx) *openCall {
 	defer s.recoverRequest(rw, id)
-	files, errResp, call, err := s.openFrame(payload, src, tctx)
+	rep, call, err := s.openFrame(payload, src, tctx)
 	switch {
 	case err != nil:
 		rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 	case call == nil:
-		rw.sendOpen(id, files, errResp)
+		rw.sendOpen(id, rep)
 	}
 	return call
 }
@@ -798,6 +805,29 @@ type openScratch struct {
 
 var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch) }}
 
+// openReply is a settled open: an error, or the group to stream back.
+type openReply struct {
+	files []fileData
+	// buf, when non-nil, is the pooled storage files was assembled in;
+	// the reply writer recycles it once the group is written.
+	buf *groupBuf
+	err errorResponse
+}
+
+// groupBuf is a pooled reply group, so assembling a re-ranked routed
+// group allocates nothing in steady state.
+type groupBuf struct{ files []fileData }
+
+var groupBufPool = sync.Pool{New: func() interface{} { return new(groupBuf) }}
+
+// putGroupBuf recycles a reply group, dropping its references to file
+// contents first so a pooled buffer pins no store or router bytes.
+func putGroupBuf(b *groupBuf) {
+	clear(b.files)
+	b.files = b.files[:0]
+	groupBufPool.Put(b)
+}
+
 // openCall is one open after decoding and learning: what resolving it
 // needs, in the read loop or on a handler goroutine.
 type openCall struct {
@@ -821,14 +851,14 @@ type openCall struct {
 // call, for a handler goroutine to finish with finishOpen. A non-nil err
 // reports a malformed payload: the caller answers CodeBadRequest, and no
 // request is counted.
-func (s *Server) openFrame(payload []byte, src uint64, tctx otrace.Ctx) (files []fileData, errResp errorResponse, call *openCall, err error) {
+func (s *Server) openFrame(payload []byte, src uint64, tctx otrace.Ctx) (rep openReply, call *openCall, err error) {
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
 	defer putFrameBuf(payload)
 	pathView, views, err := decodeOpenView(payload, sc.views[:0])
 	sc.views = views
 	if err != nil {
-		return nil, errorResponse{}, nil, err
+		return openReply{}, nil, err
 	}
 	s.m.requests.Add(1)
 	c := openCall{tctx: tctx}
@@ -851,15 +881,14 @@ func (s *Server) openFrame(payload []byte, src uint64, tctx otrace.Ctx) (files [
 	}
 	switch route {
 	case RouteLocal:
-		files, errResp = s.serveLocal(&c, sc)
+		return s.serveLocal(&c, sc), nil, nil
 	case RouteAnswered:
-		files, errResp = s.routedReply(&c, routed, nil)
+		return s.routedReply(&c, routed, nil, sc), nil, nil
 	default:
 		bc := c
 		bc.accessed = append([]string(nil), sc.accessed...)
-		return nil, errorResponse{}, &bc, nil
+		return openReply{}, &bc, nil
 	}
-	return files, errResp, nil, nil
 }
 
 // learnOpen interns an open's piggybacked history and — when the local
@@ -903,7 +932,7 @@ func (s *Server) learnOpen(c *openCall, pathView []byte, src uint64, sc *openScr
 
 // finishOpen settles an open through the router's blocking path; a
 // declined open (owned, or its owner is down) is served locally.
-func (s *Server) finishOpen(c *openCall) ([]fileData, errorResponse) {
+func (s *Server) finishOpen(c *openCall) openReply {
 	var (
 		files   []GroupFile
 		handled bool
@@ -914,11 +943,11 @@ func (s *Server) finishOpen(c *openCall) ([]fileData, errorResponse) {
 	} else {
 		files, handled, err = s.cfg.Router.RouteOpen(c.path, c.accessed)
 	}
-	if handled {
-		return s.routedReply(c, files, err)
-	}
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
+	if handled {
+		return s.routedReply(c, files, err, sc)
+	}
 	return s.serveLocal(c, sc)
 }
 
@@ -927,9 +956,9 @@ func (s *Server) finishOpen(c *openCall) ([]fileData, errorResponse) {
 // aggMu: existence was checked when the open was learned, and the
 // group's contents are staged after the critical section, coalesced with
 // any concurrent staging of the same demanded path.
-func (s *Server) serveLocal(c *openCall, sc *openScratch) ([]fileData, errorResponse) {
+func (s *Server) serveLocal(c *openCall, sc *openScratch) openReply {
 	if !c.known {
-		return nil, errorResponse{Code: CodeNotFound, Message: c.path}
+		return openReply{err: errorResponse{Code: CodeNotFound, Message: c.path}}
 	}
 	s.aggMu.Lock()
 	// Hit-or-miss selects the latency phase below.
@@ -945,7 +974,7 @@ func (s *Server) serveLocal(c *openCall, sc *openScratch) ([]fileData, errorResp
 	if !ok {
 		// The file vanished between the existence check and the staged
 		// read; rare, and the learning recorded a genuine access.
-		return nil, errorResponse{Code: CodeNotFound, Message: c.path}
+		return openReply{err: errorResponse{Code: CodeNotFound, Message: c.path}}
 	}
 	s.m.sent.Add(uint64(len(files)))
 	if c.timed {
@@ -955,36 +984,88 @@ func (s *Server) serveLocal(c *openCall, sc *openScratch) ([]fileData, errorResp
 		}
 		s.observeServed(c.tctx, phase, c.path, c.start)
 	}
-	return files, errorResponse{}
+	return openReply{files: files}
 }
 
 // routedReply turns a router's handled answer into the open's reply: a
 // typed error (ErrNotFound maps to CodeNotFound, anything else to
 // CodeInternal), or the group, which must lead with the demanded path.
-func (s *Server) routedReply(c *openCall, files []GroupFile, err error) ([]fileData, errorResponse) {
-	var out []fileData
-	var errResp errorResponse
+// A group for a path the local store holds is re-ranked by this server's
+// own successors (localGroup).
+func (s *Server) routedReply(c *openCall, files []GroupFile, err error, sc *openScratch) openReply {
+	var rep openReply
 	switch {
 	case errors.Is(err, ErrNotFound):
-		errResp = errorResponse{Code: CodeNotFound, Message: c.path}
+		rep.err = errorResponse{Code: CodeNotFound, Message: c.path}
 	case err != nil:
-		errResp = errorResponse{Code: CodeInternal, Message: err.Error()}
+		rep.err = errorResponse{Code: CodeInternal, Message: err.Error()}
 	case len(files) == 0 || files[0].Path != c.path:
-		errResp = errorResponse{Code: CodeInternal, Message: "router returned malformed group"}
+		rep.err = errorResponse{Code: CodeInternal, Message: "router returned malformed group"}
 	default:
 		// The group may be shared (a mirror entry): the reply writer
 		// only reads it.
-		out = files
-		if len(out) > maxGroup {
-			out = out[:maxGroup]
+		rep.files = files
+		if len(rep.files) > maxGroup {
+			rep.files = rep.files[:maxGroup]
+		}
+		if c.known {
+			rep = s.localGroup(c, rep.files, sc)
 		}
 		s.m.remote.Add(1)
-		s.m.sent.Add(uint64(len(out)))
+		s.m.sent.Add(uint64(len(rep.files)))
 	}
 	if c.timed {
 		s.observeServed(c.tctx, "forward", c.path, c.start)
 	}
-	return out, errResp
+	return rep
+}
+
+// localGroup builds a routed open's reply from this server's own group
+// for the demanded path, which it learned from its clients' streams
+// rather than from the fragments relayed to the owner. The reply leads
+// with the router's demanded file, then lists the local group's members
+// in order, each with the router's bytes when routed carries it and the
+// local store's otherwise (a member neither has is skipped), then fills
+// from routed's remaining members up to GroupSize. A local group with no
+// members returns routed unchanged. The local cache is not touched.
+func (s *Server) localGroup(c *openCall, routed []fileData, sc *openScratch) openReply {
+	s.aggMu.Lock()
+	sc.group = s.agg.AppendBuildGroup(sc.group[:0], c.id)
+	s.aggMu.Unlock()
+	if len(sc.group) < 2 {
+		return openReply{files: routed}
+	}
+	buf := groupBufPool.Get().(*groupBuf)
+	out := append(buf.files, routed[0])
+	for _, gid := range sc.group[1:] {
+		p := s.ids.Path(gid)
+		if i := indexFile(routed[1:], p); i >= 0 {
+			out = append(out, routed[1+i])
+		} else if d, ok := s.store.GetRef(p); ok {
+			out = append(out, fileData{Path: p, Data: d})
+		}
+	}
+	for _, f := range routed[1:] {
+		if len(out) >= s.cfg.GroupSize {
+			break
+		}
+		if indexFile(out, f.Path) < 0 {
+			out = append(out, f)
+		}
+	}
+	buf.files = out
+	return openReply{files: out, buf: buf}
+}
+
+// indexFile returns the index of path in files, or -1. Groups hold at
+// most maxGroup files, so a scan beats any index.
+func indexFile(files []fileData, path string) int {
+	for i := range files {
+		if files[i].Path == path {
+			return i
+		}
+	}
+	return -1
 }
 
 // observeServed finishes one timed open: the phase span for a sampled
@@ -1080,9 +1161,12 @@ type reply struct {
 	pooled bool
 	// files, when non-nil, is a streamed group reply (typ and payload
 	// are unused): one msgMemberChunk per file plus a closing
-	// msgGroupEnd. The slice is the singleflight-shared staging result —
-	// read-only here.
+	// msgGroupEnd. Unless buf owns it, the slice is shared (a
+	// singleflight staging result or a mirror entry) — read-only here.
 	files []fileData
+	// buf, when non-nil, is files' pooled storage; the writer recycles
+	// it once the batch is written (or the write side is dead).
+	buf *groupBuf
 }
 
 func newReplyWriter(s *Server, conn net.Conn) *replyWriter {
@@ -1109,21 +1193,19 @@ func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
 
 // sendOpen enqueues an open's reply: its error, or its group, streamed
 // member by member.
-func (rw *replyWriter) sendOpen(id uint64, files []fileData, errResp errorResponse) {
-	if errResp.Code != 0 {
-		rw.sendError(id, errResp)
+func (rw *replyWriter) sendOpen(id uint64, rep openReply) {
+	if rep.err.Code != 0 {
+		rw.sendError(id, rep.err)
 		return
 	}
-	rw.enqueue(reply{id: id, files: files})
+	rw.enqueue(reply{id: id, files: rep.files, buf: rep.buf})
 }
 
 func (rw *replyWriter) enqueue(rep reply) {
 	rw.mu.Lock()
 	if rw.dead {
 		rw.mu.Unlock()
-		if rep.pooled {
-			putFrameBuf(rep.payload)
-		}
+		rep.free()
 		return
 	}
 	rw.queue = append(rw.queue, rep)
@@ -1241,9 +1323,7 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 // back for the next drain.
 func (rw *replyWriter) recycle(batch []reply) {
 	for i := range batch {
-		if batch[i].pooled {
-			putFrameBuf(batch[i].payload)
-		}
+		batch[i].free()
 		batch[i] = reply{}
 	}
 	rw.mu.Lock()
@@ -1257,9 +1337,20 @@ func (rw *replyWriter) recycle(batch []reply) {
 // payloads.
 func (rw *replyWriter) release(batch []reply) {
 	for i := range batch {
-		if batch[i].pooled {
-			putFrameBuf(batch[i].payload)
-		}
+		batch[i].free()
+	}
+}
+
+// free returns a reply's pooled payload and group storage, if it still
+// holds them.
+func (rep *reply) free() {
+	if rep.pooled {
+		putFrameBuf(rep.payload)
+		rep.pooled = false
+	}
+	if rep.buf != nil {
+		putGroupBuf(rep.buf)
+		rep.buf = nil
 	}
 }
 
